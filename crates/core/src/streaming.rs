@@ -51,7 +51,7 @@
 
 use crate::report::{Confidence, ConsistencyError, ErrorScope, OpInfo};
 use crate::session::AnalysisSession;
-use mcc_types::{CommId, Event, EventKind, EventRef, Rank, SourceLoc, Trace, TraceBuilder, WinId};
+use mcc_types::{CommId, EventKind, EventRef, Rank, SourceLoc, Trace, TraceBuilder, WinId};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -544,20 +544,8 @@ impl StreamingChecker {
     /// the equivalence tests and benches).
     pub fn run_over(trace: &Trace) -> (Vec<ConsistencyError>, StreamingStats) {
         let mut sc = StreamingChecker::new(trace.nprocs()).expect("trace has at least one rank");
-        // Interleave ranks round-robin, as events would arrive online.
-        let mut idx = vec![0usize; trace.nprocs()];
-        let mut remaining: usize = trace.total_events();
-        while remaining > 0 {
-            #[allow(clippy::needless_range_loop)] // r doubles as the rank id
-            for r in 0..trace.nprocs() {
-                if idx[r] < trace.procs[r].events.len() {
-                    let ev: &Event = &trace.procs[r].events[idx[r]];
-                    let loc = trace.procs[r].loc(ev.loc);
-                    sc.push(Rank(r as u32), ev.kind.clone(), loc).expect("rank is in range");
-                    idx[r] += 1;
-                    remaining -= 1;
-                }
-            }
+        for (rank, kind, loc) in trace.stream_order() {
+            sc.push(rank, kind, loc).expect("rank is in range");
         }
         let stats = StreamingStats {
             regions_flushed: sc.regions_flushed,
@@ -688,30 +676,10 @@ mod tests {
     fn incremental_findings_surface_early() {
         let trace = rounds_trace(12);
         let mut sc = StreamingChecker::new(2).unwrap();
-        let mut found_at = None;
-        let mut pushed = 0usize;
-        let mut idx = [0usize; 2];
-        'outer: loop {
-            let mut progressed = false;
-            #[allow(clippy::needless_range_loop)] // r doubles as the rank id
-            for r in 0..2 {
-                if idx[r] < trace.procs[r].events.len() {
-                    let ev = &trace.procs[r].events[idx[r]];
-                    let loc = trace.procs[r].loc(ev.loc);
-                    let fresh = sc.push(Rank(r as u32), ev.kind.clone(), loc).unwrap();
-                    idx[r] += 1;
-                    pushed += 1;
-                    progressed = true;
-                    if !fresh.is_empty() {
-                        found_at = Some(pushed);
-                        break 'outer;
-                    }
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
+        let found_at = trace
+            .stream_order()
+            .position(|(rank, kind, loc)| !sc.push(rank, kind, loc).unwrap().is_empty())
+            .map(|i| i + 1);
         let total = trace.total_events();
         let at = found_at.expect("conflict reported during the stream");
         assert!(at < total, "finding surfaced before the end ({at}/{total})");

@@ -5,21 +5,22 @@
 //! [`mcc_serve::proto`] frames and ships them to a running daemon as the
 //! program executes, so the check happens online.
 //!
-//! By default every event goes out immediately as its own JSON `Event`
-//! frame — the safe shape against any server. After reading the daemon's
-//! `Welcome`, a caller that saw the `binary` capability can switch on
+//! The writer owns the socket and the control frames; numbering events
+//! and shaping them for the wire is [`mcc_serve::proto::StreamEncoder`]'s
+//! job — the same encoder `mcc submit` uses, so a live run and a
+//! recorded trace cannot drift apart on the wire. By default every event
+//! goes out immediately as its own JSON `Event` frame — the safe shape
+//! against any server. After reading the daemon's `Welcome`, a caller
+//! that saw the `binary` capability can switch on
 //! [`set_batching`](TraceFrameWriter::set_batching): events then
-//! accumulate client-side into columnar [`EventBatch`] frames, flushed
-//! with one vectored write per batch. Call
+//! accumulate client-side into columnar `Batch` frames, one write per
+//! batch. The daemon ingests an `Event` as a batch of one, so the two
+//! shapes differ only in bytes on the wire. Call
 //! [`flush`](TraceFrameWriter::flush) at any latency boundary;
 //! [`finish`](TraceFrameWriter::finish) always flushes.
 
 use mcc_codec::CodecKind;
-use mcc_serve::client::MAX_BATCH_EVENTS;
-use mcc_serve::proto::{
-    encode_frame_with, frame_payload, write_all_vectored, EventBatch, Frame, SessionOpts,
-    PROTOCOL_VERSION,
-};
+use mcc_serve::proto::{encode_frame_with, Frame, SessionOpts, StreamEncoder, PROTOCOL_VERSION};
 use mcc_types::{EventKind, Rank, SourceLoc, Trace};
 use std::io::{self, Write};
 
@@ -34,13 +35,9 @@ use std::io::{self, Write};
 pub struct TraceFrameWriter<W: Write> {
     sink: W,
     nprocs: usize,
-    events: u64,
-    /// Event-stream codec; control frames are always JSON.
-    codec: CodecKind,
-    /// Events per `Batch` frame; `0` or `1` ships per-event frames.
-    batch_size: usize,
-    /// Events accumulated towards the next `Batch` frame.
-    pending: Option<EventBatch>,
+    /// Numbers the events and shapes them for the wire; control frames
+    /// are always JSON.
+    encoder: StreamEncoder,
 }
 
 impl<W: Write> TraceFrameWriter<W> {
@@ -53,18 +50,18 @@ impl<W: Write> TraceFrameWriter<W> {
             CodecKind::Json,
         ))?;
         sink.flush()?;
-        Ok(Self { sink, nprocs, events: 0, codec: CodecKind::Json, batch_size: 1, pending: None })
+        Ok(Self { sink, nprocs, encoder: StreamEncoder::new(0, CodecKind::Json, 1) })
     }
 
     /// Switches the event stream's shape, typically after reading the
     /// daemon's `Welcome`: `codec` for event frames, and `batch_size`
     /// events per columnar `Batch` frame (clamped to
-    /// [`MAX_BATCH_EVENTS`]; `0` or `1` means one frame per event).
-    /// Flushes anything already pending under the old shape first.
+    /// [`mcc_serve::proto::MAX_BATCH_EVENTS`]; `0` or `1`, or the JSON
+    /// codec, means one frame per event). Flushes anything already
+    /// pending under the old shape first.
     pub fn set_batching(&mut self, codec: CodecKind, batch_size: usize) -> io::Result<()> {
         self.flush()?;
-        self.codec = codec;
-        self.batch_size = batch_size.min(MAX_BATCH_EVENTS);
+        self.encoder = StreamEncoder::new(self.encoder.next_seq(), codec, batch_size);
         Ok(())
     }
 
@@ -75,44 +72,19 @@ impl<W: Write> TraceFrameWriter<W> {
 
     /// Events shipped (or pending) so far.
     pub fn events(&self) -> u64 {
-        self.events
+        self.encoder.next_seq()
     }
 
     /// Ships one event, numbered with the session's next sequence.
     /// With batching on, the event may sit client-side until the batch
     /// fills or [`flush`](TraceFrameWriter::flush) is called.
     pub fn event(&mut self, rank: Rank, kind: EventKind, loc: SourceLoc) -> io::Result<()> {
-        if self.batch_size > 1 {
-            let batch = self.pending.get_or_insert_with(|| EventBatch::new(self.events));
-            batch.push(rank.0, kind, &loc);
-            self.events += 1;
-            if batch.len() >= self.batch_size {
-                self.flush()?;
-            }
-            return Ok(());
-        }
-        self.sink.write_all(&encode_frame_with(
-            &Frame::Event { seq: self.events, rank: rank.0, kind, loc },
-            self.codec,
-        ))?;
-        self.events += 1;
-        Ok(())
+        self.encoder.push(rank.0, kind, &loc).map_or(Ok(()), |frame| self.sink.write_all(&frame))
     }
 
-    /// Writes any pending batch with one vectored write (header +
-    /// payload, no concatenation copy).
+    /// Writes any pending batch.
     pub fn flush(&mut self) -> io::Result<()> {
-        if let Some(batch) = self.pending.take() {
-            if !batch.is_empty() {
-                let payload = mcc_codec::encode_with(self.codec, &Frame::Batch(batch));
-                let framed = frame_payload(&payload);
-                // frame_payload returns header+payload contiguously; the
-                // vectored write matters when callers extend this with
-                // multiple pending buffers.
-                write_all_vectored(&mut self.sink, &[&framed])?;
-            }
-        }
-        Ok(())
+        self.encoder.flush().map_or(Ok(()), |frame| self.sink.write_all(&frame))
     }
 
     /// Ends the stream with a `Finish` frame (flushing any pending
@@ -145,18 +117,8 @@ pub fn ship_trace_with<W: Write>(
 ) -> io::Result<W> {
     let mut w = TraceFrameWriter::new(sink, trace.nprocs(), opts)?;
     w.set_batching(codec, batch_size)?;
-    let mut idx = vec![0usize; trace.nprocs()];
-    let mut remaining = trace.total_events();
-    while remaining > 0 {
-        #[allow(clippy::needless_range_loop)] // r doubles as the rank id
-        for r in 0..trace.nprocs() {
-            if idx[r] < trace.procs[r].events.len() {
-                let ev = &trace.procs[r].events[idx[r]];
-                w.event(Rank(r as u32), ev.kind.clone(), trace.procs[r].loc(ev.loc))?;
-                idx[r] += 1;
-                remaining -= 1;
-            }
-        }
+    for (rank, kind, loc) in trace.stream_order() {
+        w.event(rank, kind, loc)?;
     }
     w.finish()
 }
@@ -164,7 +126,7 @@ pub fn ship_trace_with<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcc_serve::proto::FrameReader;
+    use mcc_serve::proto::{EventBatch, FrameReader};
     use mcc_types::TraceBuilder;
 
     fn two_rank_trace() -> Trace {
@@ -221,31 +183,5 @@ mod tests {
         assert_eq!(batched[0].first_seq, 0);
         assert_eq!(batched[0].len(), 2);
         assert!(batched[0].validate().is_ok());
-    }
-
-    #[test]
-    fn small_batches_split_on_the_batch_size() {
-        let mut w = TraceFrameWriter::new(Vec::new(), 1, SessionOpts::default()).unwrap();
-        w.set_batching(CodecKind::Binary, 2).unwrap();
-        for _ in 0..5 {
-            w.event(
-                Rank(0),
-                EventKind::Barrier { comm: mcc_types::CommId::WORLD },
-                SourceLoc::unknown(),
-            )
-            .unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        let mut reader = FrameReader::new(&bytes[..]);
-        let mut sizes = Vec::new();
-        let mut next_seq = 0u64;
-        while let Some(f) = reader.next_frame().unwrap() {
-            if let Frame::Batch(b) = f {
-                assert_eq!(b.first_seq, next_seq, "batches are seq-contiguous");
-                next_seq += b.len() as u64;
-                sizes.push(b.len());
-            }
-        }
-        assert_eq!(sizes, vec![2, 2, 1]);
     }
 }

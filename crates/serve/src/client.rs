@@ -21,14 +21,16 @@
 //!
 //! Both modes negotiate the event-stream shape from the server's
 //! `Welcome` capabilities ([`SubmitCfg`]): against a server announcing
-//! `binary`, events go out as columnar [`EventBatch`] frames in the
-//! compact binary codec; otherwise (or with `prefer_binary` off) they
-//! fall back to per-event JSON frames, which every server understands.
-//! Handshake and control frames are always JSON.
+//! `binary`, events go out as columnar
+//! [`EventBatch`](crate::proto::EventBatch) frames in the compact binary
+//! codec; otherwise (or with `prefer_binary` off) they fall back to
+//! per-event JSON frames, which every server understands. Handshake and
+//! control frames are always JSON.
 
+pub use crate::proto::MAX_BATCH_EVENTS;
 use crate::proto::{
-    encode_frame_with, write_all_vectored, write_frame_with, EventBatch, Frame, FrameReader,
-    ProtoError, SessionOpts, CAP_BINARY, CAP_TRACECTX, PROTOCOL_VERSION,
+    write_all_vectored, write_frame_with, Frame, FrameReader, ProtoError, SessionOpts,
+    StreamEncoder, CAP_BINARY, CAP_TRACECTX, PROTOCOL_VERSION,
 };
 use crate::report::SessionReport;
 use mcc_codec::CodecKind;
@@ -37,8 +39,6 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -100,21 +100,33 @@ const DEFAULT_REPLY_DEADLINE: Duration = Duration::from_secs(30);
 const MAX_IDLE_PAUSE: Duration = Duration::from_millis(50);
 
 /// Reads the next meaningful frame, skipping `Ack`s (they are progress,
-/// not replies) and the governance advisories `Throttled` (pacing
-/// notice) and `QuotaExceeded` (always followed by the degraded
-/// `Report` the caller is waiting for). Idle reads — a socket read
-/// timeout before a complete frame — back off with a bounded sleep
-/// instead of busy-spinning, and give up with [`ClientError::TimedOut`]
-/// once `deadline` has elapsed.
+/// not replies) and the governance advisories — see [`await_frame`].
 fn read_reply<S: Read>(
     reader: &mut FrameReader<S>,
     deadline: Duration,
+) -> Result<Frame, ClientError> {
+    await_frame(reader, deadline, false)
+}
+
+/// Reads the next frame that is not a governance advisory: `Throttled`
+/// (pacing notice) and `QuotaExceeded` (always followed by the degraded
+/// `Report` the caller is waiting for) carry nothing to act on. `Ack`s
+/// are returned only when `want_acks` (the post-resume handshake needs
+/// the offset). Idle reads — a socket read timeout before a complete
+/// frame — back off with a bounded sleep instead of busy-spinning, and
+/// give up with [`ClientError::TimedOut`] once `deadline` has elapsed.
+/// The deadline and the backoff span the whole wait: a skipped frame
+/// restarts neither.
+fn await_frame<S: Read>(
+    reader: &mut FrameReader<S>,
+    deadline: Duration,
+    want_acks: bool,
 ) -> Result<Frame, ClientError> {
     let started = Instant::now();
     let mut pause = Duration::from_millis(1);
     loop {
         match reader.next_frame() {
-            Ok(Some(Frame::Ack { .. })) => {}
+            Ok(Some(Frame::Ack { .. })) if !want_acks => {}
             Ok(Some(Frame::Throttled { .. } | Frame::QuotaExceeded { .. })) => {}
             Ok(Some(f)) => return Ok(f),
             Ok(None) => {
@@ -152,10 +164,6 @@ impl Default for SubmitCfg {
     }
 }
 
-/// Hard cap on events per `Batch` frame, keeping even pathological
-/// payloads far from [`crate::proto::MAX_FRAME_LEN`].
-pub const MAX_BATCH_EVENTS: usize = 4096;
-
 /// Accumulate roughly this many bytes of encoded frames per socket
 /// write.
 const FLUSH_BYTES: usize = 1 << 18;
@@ -182,19 +190,7 @@ pub struct SubmitInfo {
 /// is just a slice from `through`.
 pub fn flatten_events(trace: &Trace) -> Vec<(u32, EventKind, SourceLoc)> {
     let mut out = Vec::with_capacity(trace.total_events());
-    let mut idx = vec![0usize; trace.nprocs()];
-    let mut remaining = trace.total_events();
-    while remaining > 0 {
-        #[allow(clippy::needless_range_loop)] // r doubles as the rank id
-        for r in 0..trace.nprocs() {
-            if idx[r] < trace.procs[r].events.len() {
-                let ev = &trace.procs[r].events[idx[r]];
-                out.push((r as u32, ev.kind.clone(), trace.procs[r].loc(ev.loc)));
-                idx[r] += 1;
-                remaining -= 1;
-            }
-        }
-    }
+    out.extend(trace.stream_order().map(|(rank, kind, loc)| (rank.0, kind, loc)));
     out
 }
 
@@ -227,42 +223,50 @@ fn send_trace_ctx<S: Read + Write>(
     Ok(true)
 }
 
-/// Encodes `events[from..]` into wire frames: columnar `Batch` frames
-/// when the binary codec is negotiated and batching is on, per-event
-/// frames otherwise.
+/// Encodes `events[from..]` into wire frames through a
+/// [`StreamEncoder`]: columnar `Batch` frames when the binary codec is
+/// negotiated and batching is on, per-event frames otherwise.
 pub fn encode_stream(
     events: &[(u32, EventKind, SourceLoc)],
     from: u64,
     codec: CodecKind,
     batch_size: usize,
 ) -> Vec<Vec<u8>> {
-    let tail = &events[(from as usize).min(events.len())..];
+    let mut encoder = StreamEncoder::new(from, codec, batch_size);
     let mut out = Vec::new();
-    if codec == CodecKind::Binary && batch_size > 1 {
-        let cap = batch_size.min(MAX_BATCH_EVENTS);
-        let mut i = 0usize;
-        while i < tail.len() {
-            let n = cap.min(tail.len() - i);
-            let mut b = EventBatch::new(from + i as u64);
-            for (rank, kind, loc) in &tail[i..i + n] {
-                b.push(*rank, kind.clone(), loc);
-            }
-            out.push(encode_frame_with(&Frame::Batch(b), codec));
-            i += n;
-        }
-    } else {
-        out.reserve(tail.len());
-        for (i, (rank, kind, loc)) in tail.iter().enumerate() {
-            let frame = Frame::Event {
-                seq: from + i as u64,
-                rank: *rank,
-                kind: kind.clone(),
-                loc: loc.clone(),
-            };
-            out.push(encode_frame_with(&frame, codec));
+    for (rank, kind, loc) in &events[(from as usize).min(events.len())..] {
+        out.extend(encoder.push(*rank, kind.clone(), loc));
+    }
+    out.extend(encoder.flush());
+    out
+}
+
+/// The one send loop: writes `frames` with vectored writes (neither one
+/// syscall per frame nor a concatenation copy), flushing whenever
+/// `flush_bytes` have accumulated and at the end, and calls
+/// `after_write` after every socket write. `bytes_sent` advances per
+/// completed write, so it stays truthful when a later write fails.
+fn send_frames<S: Read + Write>(
+    reader: &mut FrameReader<S>,
+    frames: &[Vec<u8>],
+    flush_bytes: usize,
+    bytes_sent: &mut u64,
+    mut after_write: impl FnMut(&mut FrameReader<S>) -> Result<(), ClientError>,
+) -> Result<(), ClientError> {
+    let mut pending: Vec<&[u8]> = Vec::new();
+    let mut pending_bytes = 0usize;
+    for (i, bytes) in frames.iter().enumerate() {
+        pending.push(bytes);
+        pending_bytes += bytes.len();
+        if pending_bytes >= flush_bytes || i + 1 == frames.len() {
+            write_all_vectored(reader.get_mut(), &pending)?;
+            *bytes_sent += pending_bytes as u64;
+            pending.clear();
+            pending_bytes = 0;
+            after_write(reader)?;
         }
     }
-    out
+    Ok(())
 }
 
 /// Streams `trace` over an established connection and returns the
@@ -317,25 +321,8 @@ pub fn submit_over_cfg<S: Read + Write>(
     info.encode = t.elapsed();
     info.frames_sent = encoded.len() as u64;
 
-    // Vectored writes so a large trace pays neither one syscall per
-    // frame nor a concatenation copy.
     let t = Instant::now();
-    let mut pending: Vec<&[u8]> = Vec::new();
-    let mut pending_bytes = 0usize;
-    for bytes in &encoded {
-        pending.push(bytes);
-        pending_bytes += bytes.len();
-        if pending_bytes >= FLUSH_BYTES {
-            write_all_vectored(reader.get_mut(), &pending)?;
-            info.bytes_sent += pending_bytes as u64;
-            pending.clear();
-            pending_bytes = 0;
-        }
-    }
-    if !pending.is_empty() {
-        write_all_vectored(reader.get_mut(), &pending)?;
-        info.bytes_sent += pending_bytes as u64;
-    }
+    send_frames(&mut reader, &encoded, FLUSH_BYTES, &mut info.bytes_sent, |_| Ok(()))?;
     info.io = t.elapsed();
     write_frame_with(reader.get_mut(), &Frame::Finish, CONTROL)?;
 
@@ -445,23 +432,10 @@ pub fn submit_durable_tcp_cfg(
     )
 }
 
-/// [`submit_durable_tcp`] over an arbitrary connector — each call must
-/// yield a fresh connection to the same server, configured with a small
-/// read timeout (so idle reads surface instead of blocking forever).
-pub fn submit_durable_with<S, C>(
-    connect: C,
-    trace: &Trace,
-    opts: &SessionOpts,
-    policy: &RetryPolicy,
-) -> Result<(SessionReport, SubmitStats), ClientError>
-where
-    S: Read + Write,
-    C: FnMut() -> io::Result<S>,
-{
-    submit_durable_with_cfg(connect, trace, opts, policy, &SubmitCfg::default())
-}
-
-/// [`submit_durable_with`] with an explicit wire shape.
+/// [`submit_durable_tcp_cfg`] over an arbitrary connector — each call
+/// must yield a fresh connection to the same server, configured with a
+/// small read timeout (so idle reads surface instead of blocking
+/// forever).
 pub fn submit_durable_with_cfg<S, C>(
     mut connect: C,
     trace: &Trace,
@@ -571,7 +545,7 @@ fn one_attempt<S: Read + Write>(
         stats.resumes += 1;
         // Welcome after a Resume is followed by the server's Ack offset
         // — or directly by the Report if the session already completed.
-        match next_progress_frame(&mut reader, policy.reply_deadline) {
+        match await_frame(&mut reader, policy.reply_deadline, true) {
             Ok(Frame::Ack { through }) => *acked = (*acked).max(through),
             Ok(Frame::Report { json }) => {
                 return match SessionReport::from_json(&json) {
@@ -625,40 +599,26 @@ fn one_attempt<S: Read + Write>(
     }
     let codec = negotiated_codec(&capabilities, cfg.prefer_binary);
     stats.codec = codec;
-    if let Some(pace) = policy.throttle {
+    let sent = if let Some(pace) = policy.throttle {
         // Paced mode: one per-event frame per write, so the stream has a
         // steady, interruptible cadence.
         let encoded = encode_stream(events, from, codec, 1);
-        for bytes in &encoded {
-            let paced = reader.get_mut().write_all(bytes).and_then(|_| reader.get_mut().flush());
-            if let Err(e) = paced {
-                return Attempt::Retry(e.into());
-            }
-            stats.bytes_sent += bytes.len() as u64;
+        send_frames(&mut reader, &encoded, 0, &mut stats.bytes_sent, |r| {
+            r.get_mut().flush()?;
             thread::sleep(pace);
-        }
+            Ok(())
+        })
     } else {
+        // Drain any Acks the server pushed while we were writing — both
+        // to advance the resume offset and to keep the socket from
+        // filling up in either direction.
         let encoded = encode_stream(events, from, codec, cfg.batch_size);
-        let mut pending: Vec<&[u8]> = Vec::new();
-        let mut pending_bytes = 0usize;
-        for (i, bytes) in encoded.iter().enumerate() {
-            pending.push(bytes);
-            pending_bytes += bytes.len();
-            if pending_bytes >= FLUSH_BYTES || i + 1 == encoded.len() {
-                if let Err(e) = write_all_vectored(reader.get_mut(), &pending) {
-                    return Attempt::Retry(e.into());
-                }
-                stats.bytes_sent += pending_bytes as u64;
-                pending.clear();
-                pending_bytes = 0;
-                // Drain any Acks the server pushed while we were writing
-                // — both to advance the resume offset and to keep the
-                // socket from filling up in either direction.
-                if let Err(e) = drain_acks(&mut reader, acked) {
-                    return e;
-                }
-            }
-        }
+        send_frames(&mut reader, &encoded, FLUSH_BYTES, &mut stats.bytes_sent, |r| {
+            drain_acks(r, acked)
+        })
+    };
+    if let Err(e) = sent {
+        return Attempt::Retry(e);
     }
     if let Err(e) = write_frame_with(reader.get_mut(), &Frame::Finish, CONTROL) {
         return Attempt::Retry(e.into());
@@ -681,54 +641,22 @@ fn one_attempt<S: Read + Write>(
     }
 }
 
-/// Like [`read_reply`] but returns `Ack` frames instead of skipping them
-/// (the post-resume handshake needs the offset). Governance advisories
-/// are still skipped — they carry no offset.
-fn next_progress_frame<S: Read>(
-    reader: &mut FrameReader<S>,
-    deadline: Duration,
-) -> Result<Frame, ClientError> {
-    let started = Instant::now();
-    let mut pause = Duration::from_millis(1);
-    loop {
-        match reader.next_frame() {
-            Ok(Some(Frame::Throttled { .. } | Frame::QuotaExceeded { .. })) => {}
-            Ok(Some(f)) => return Ok(f),
-            Ok(None) => {
-                return Err(ClientError::UnexpectedFrame(
-                    "server closed the connection without replying".into(),
-                ))
-            }
-            Err(ProtoError::Idle) => {
-                if started.elapsed() >= deadline {
-                    return Err(ClientError::TimedOut);
-                }
-                thread::sleep(pause);
-                pause = (pause * 2).min(MAX_IDLE_PAUSE);
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-}
-
 /// Consumes whatever frames are already readable without blocking past
 /// one idle read. `Ack`s advance the resume offset; a server `Error` or
 /// a closed/corrupt stream aborts the attempt (retryably).
-fn drain_acks<S: Read>(reader: &mut FrameReader<S>, acked: &mut u64) -> Result<(), Attempt> {
+fn drain_acks<S: Read>(reader: &mut FrameReader<S>, acked: &mut u64) -> Result<(), ClientError> {
     loop {
         match reader.next_frame() {
             Ok(Some(Frame::Ack { through })) => *acked = (*acked).max(through),
-            Ok(Some(Frame::Error { message })) => {
-                return Err(Attempt::Retry(ClientError::Rejected(message)))
-            }
+            Ok(Some(Frame::Error { message })) => return Err(ClientError::Rejected(message)),
             Ok(Some(_)) => {} // nothing else mid-stream is actionable
             Ok(None) => {
-                return Err(Attempt::Retry(ClientError::UnexpectedFrame(
+                return Err(ClientError::UnexpectedFrame(
                     "server closed the connection mid-stream".into(),
-                )))
+                ))
             }
             Err(ProtoError::Idle) => return Ok(()),
-            Err(e) => return Err(Attempt::Retry(e.into())),
+            Err(e) => return Err(e.into()),
         }
     }
 }
@@ -754,81 +682,34 @@ pub fn submit_tcp_cfg(
     submit_over_cfg(TcpStream::connect(addr)?, trace, opts, cfg)
 }
 
-/// Connects to a Unix-socket daemon and submits `trace`.
-#[cfg(unix)]
-pub fn submit_unix(
-    path: &str,
-    trace: &Trace,
-    opts: &SessionOpts,
-) -> Result<SessionReport, ClientError> {
-    submit_over(UnixStream::connect(path)?, trace, opts)
-}
-
-/// Asks a daemon for its supervisor state (the `STATS` verb) and returns
-/// the raw JSON.
-pub fn stats_over<S: Read + Write>(stream: S) -> Result<String, ClientError> {
+/// Sends one query verb — [`Frame::Stats`], [`Frame::Metrics`] or
+/// [`Frame::Health`] — over an established connection and returns the
+/// matching reply's payload: the supervisor JSON, the Prometheus-style
+/// text exposition, or the fleet-health JSON. Works over any
+/// `Read + Write` stream (TCP, a Unix socket, an in-memory pair).
+pub fn query_over<S: Read + Write>(stream: S, verb: Frame) -> Result<String, ClientError> {
     let mut reader = FrameReader::new(stream);
-    write_frame_with(reader.get_mut(), &Frame::Stats, CONTROL)?;
-    match read_reply(&mut reader, DEFAULT_REPLY_DEADLINE)? {
-        Frame::StatsReport { json } => Ok(json),
-        Frame::Error { message } => Err(ClientError::Rejected(message)),
-        other => Err(ClientError::UnexpectedFrame(format!("{other:?}"))),
+    write_frame_with(reader.get_mut(), &verb, CONTROL)?;
+    match (verb, read_reply(&mut reader, DEFAULT_REPLY_DEADLINE)?) {
+        (Frame::Stats, Frame::StatsReport { json })
+        | (Frame::Health, Frame::HealthReport { json }) => Ok(json),
+        (Frame::Metrics, Frame::MetricsReport { text }) => Ok(text),
+        (_, Frame::Error { message }) => Err(ClientError::Rejected(message)),
+        (_, other) => Err(ClientError::UnexpectedFrame(format!("{other:?}"))),
     }
 }
 
-/// [`stats_over`] via TCP.
+/// The `STATS` verb via TCP: the supervisor's state as raw JSON.
 pub fn stats_tcp(addr: &str) -> Result<String, ClientError> {
-    stats_over(TcpStream::connect(addr)?)
+    query_over(TcpStream::connect(addr)?, Frame::Stats)
 }
 
-/// [`stats_over`] via Unix socket.
-#[cfg(unix)]
-pub fn stats_unix(path: &str) -> Result<String, ClientError> {
-    stats_over(UnixStream::connect(path)?)
-}
-
-/// Asks a daemon for its live metrics (the `METRICS` verb) and returns
-/// the Prometheus-style text exposition.
-pub fn metrics_over<S: Read + Write>(stream: S) -> Result<String, ClientError> {
-    let mut reader = FrameReader::new(stream);
-    write_frame_with(reader.get_mut(), &Frame::Metrics, CONTROL)?;
-    match read_reply(&mut reader, DEFAULT_REPLY_DEADLINE)? {
-        Frame::MetricsReport { text } => Ok(text),
-        Frame::Error { message } => Err(ClientError::Rejected(message)),
-        other => Err(ClientError::UnexpectedFrame(format!("{other:?}"))),
-    }
-}
-
-/// [`metrics_over`] via TCP.
+/// The `METRICS` verb via TCP: the Prometheus-style text exposition.
 pub fn metrics_tcp(addr: &str) -> Result<String, ClientError> {
-    metrics_over(TcpStream::connect(addr)?)
+    query_over(TcpStream::connect(addr)?, Frame::Metrics)
 }
 
-/// [`metrics_over`] via Unix socket.
-#[cfg(unix)]
-pub fn metrics_unix(path: &str) -> Result<String, ClientError> {
-    metrics_over(UnixStream::connect(path)?)
-}
-
-/// Asks a daemon for its fleet health snapshot (the `HEALTH` verb) and
-/// returns the raw JSON.
-pub fn health_over<S: Read + Write>(stream: S) -> Result<String, ClientError> {
-    let mut reader = FrameReader::new(stream);
-    write_frame_with(reader.get_mut(), &Frame::Health, CONTROL)?;
-    match read_reply(&mut reader, DEFAULT_REPLY_DEADLINE)? {
-        Frame::HealthReport { json } => Ok(json),
-        Frame::Error { message } => Err(ClientError::Rejected(message)),
-        other => Err(ClientError::UnexpectedFrame(format!("{other:?}"))),
-    }
-}
-
-/// [`health_over`] via TCP.
+/// The `HEALTH` verb via TCP: the fleet health snapshot as raw JSON.
 pub fn health_tcp(addr: &str) -> Result<String, ClientError> {
-    health_over(TcpStream::connect(addr)?)
-}
-
-/// [`health_over`] via Unix socket.
-#[cfg(unix)]
-pub fn health_unix(path: &str) -> Result<String, ClientError> {
-    health_over(UnixStream::connect(path)?)
+    query_over(TcpStream::connect(addr)?, Frame::Health)
 }

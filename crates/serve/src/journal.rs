@@ -1,6 +1,8 @@
 //! Per-session write-ahead journal.
 //!
-//! A durable session appends every accepted event to
+//! A durable session appends every accepted run of events — one
+//! columnar [`JournalRecord::Batch`] per ingested wire frame, a batch of
+//! one for a per-event frame — to
 //! `<journal_dir>/session-<id>.mccj` *before* acknowledging it, so a
 //! daemon killed mid-session can replay the journal through the same
 //! [`mcc_core::StreamingChecker`] on restart and end up in exactly the
@@ -69,7 +71,9 @@ pub enum JournalRecord {
         /// evicts at exactly the same points the live run did).
         cap: u32,
     },
-    /// One ingested event, in stream order.
+    /// One ingested event, in stream order. No longer written — every
+    /// ingest is journaled as a [`Batch`](Self::Batch) — but journals on
+    /// disk are outside input, so old ones keep replaying.
     Event {
         /// Stream position (dense, from 0).
         seq: u64,
@@ -81,9 +85,9 @@ pub enum JournalRecord {
         loc: SourceLoc,
     },
     /// A run of consecutive ingested events, columnar (see
-    /// [`EventBatch`]) — written when the client streamed a `Batch`
-    /// frame, so the journal keeps the wire's compression. Replay
-    /// expands it to individual events.
+    /// [`EventBatch`]): the non-duplicate tail of one wire frame, so the
+    /// journal keeps the wire's compression. Replay expands it to
+    /// individual events.
     Batch(EventBatch),
     /// The client sent `Finish`; the report was (or was about to be)
     /// built. A journal ending in `Finish` replays to a *completed*
@@ -118,7 +122,7 @@ impl Journal {
         let path = dir.join(format!("session-{session}.mccj"));
         let file = OpenOptions::new().write(true).create(true).truncate(true).open(&path)?;
         let mut j = Self { file, path, policy, dirty: false, bytes: 0 };
-        j.append(&JournalRecord::Open { session, nprocs, opts: clone_opts(opts), cap })?;
+        j.append(&JournalRecord::Open { session, nprocs, opts: opts.clone(), cap })?;
         // The Open record is the session's existence proof; make it
         // durable immediately regardless of policy.
         j.file.sync_data()?;
@@ -153,19 +157,8 @@ impl Journal {
         Ok(())
     }
 
-    /// Appends one event record.
-    pub fn append_event(
-        &mut self,
-        seq: u64,
-        rank: u32,
-        kind: &EventKind,
-        loc: &SourceLoc,
-    ) -> io::Result<()> {
-        self.append(&JournalRecord::Event { seq, rank, kind: kind.clone(), loc: loc.clone() })
-    }
-
     /// Appends one columnar batch record (the non-duplicate tail of a
-    /// wire `Batch` frame).
+    /// wire frame) — the only event writer.
     pub fn append_batch(&mut self, batch: &EventBatch) -> io::Result<()> {
         self.append(&JournalRecord::Batch(batch.clone()))
     }
@@ -204,15 +197,6 @@ impl Journal {
     pub fn retire(self) -> io::Result<()> {
         drop(self.file);
         fs::remove_file(&self.path)
-    }
-}
-
-fn clone_opts(o: &SessionOpts) -> SessionOpts {
-    SessionOpts {
-        threads: o.threads,
-        max_buffered: o.max_buffered,
-        durable: o.durable,
-        governance: o.governance,
     }
 }
 
@@ -389,6 +373,13 @@ mod tests {
         d
     }
 
+    /// Appends event `i` the way pre-unification builds did: one
+    /// `JournalRecord::Event` per event. Keeps read-compat covered.
+    fn append_old_event(j: &mut Journal, i: u64) {
+        let (seq, rank, kind, loc) = ev(i);
+        j.append(&JournalRecord::Event { seq, rank, kind, loc }).unwrap();
+    }
+
     fn ev(i: u64) -> (u64, u32, EventKind, SourceLoc) {
         (
             i,
@@ -404,8 +395,7 @@ mod tests {
         let opts = SessionOpts { threads: 2, max_buffered: 64, durable: true, governance: true };
         let mut j = Journal::create(&dir, 9, 2, &opts, 64, FsyncPolicy::EveryAck).unwrap();
         for i in 0..5 {
-            let (seq, rank, kind, loc) = ev(i);
-            j.append_event(seq, rank, &kind, &loc).unwrap();
+            append_old_event(&mut j, i);
         }
         j.sync_for_ack().unwrap();
         j.append_finish().unwrap();
@@ -428,8 +418,7 @@ mod tests {
         let opts = SessionOpts::default();
         let mut j = Journal::create(&dir, 1, 2, &opts, 0, FsyncPolicy::Never).unwrap();
         for i in 0..4 {
-            let (seq, rank, kind, loc) = ev(i);
-            j.append_event(seq, rank, &kind, &loc).unwrap();
+            append_old_event(&mut j, i);
         }
         let path = j.path().to_path_buf();
         drop(j);
@@ -446,8 +435,7 @@ mod tests {
         // Reopening for append truncates to the intact prefix, and new
         // records land cleanly after it.
         let mut j = Journal::open_append(&path, replay.intact_len, FsyncPolicy::Never).unwrap();
-        let (seq, rank, kind, loc) = ev(3);
-        j.append_event(seq, rank, &kind, &loc).unwrap();
+        append_old_event(&mut j, 3);
         drop(j);
         let replay = read_journal(&path).unwrap();
         assert_eq!(replay.events.len(), 4);
@@ -460,8 +448,7 @@ mod tests {
         let dir = tmpdir("batch");
         let opts = SessionOpts::default();
         let mut j = Journal::create(&dir, 5, 2, &opts, 0, FsyncPolicy::Never).unwrap();
-        let (seq, rank, kind, loc) = ev(0);
-        j.append_event(seq, rank, &kind, &loc).unwrap();
+        append_old_event(&mut j, 0);
         let mut b = EventBatch::new(1);
         for i in 1..4u64 {
             let (_, rank, kind, loc) = ev(i);
@@ -522,8 +509,7 @@ mod tests {
         // An upgraded daemon appends binary records to that same file;
         // the mixed journal still replays whole.
         let mut j = Journal::open_append(&path, replay.intact_len, FsyncPolicy::Never).unwrap();
-        let (seq, rank, kind, loc) = ev(2);
-        j.append_event(seq, rank, &kind, &loc).unwrap();
+        append_old_event(&mut j, 2);
         j.append_finish().unwrap();
         drop(j);
         let replay = read_journal(&path).unwrap();
@@ -537,8 +523,7 @@ mod tests {
         let dir = tmpdir("badbatch");
         let opts = SessionOpts::default();
         let mut j = Journal::create(&dir, 6, 2, &opts, 0, FsyncPolicy::Never).unwrap();
-        let (seq, rank, kind, loc) = ev(0);
-        j.append_event(seq, rank, &kind, &loc).unwrap();
+        append_old_event(&mut j, 0);
         // A structurally valid record whose columns lie: loc_idx points
         // past the table.
         let bad = EventBatch {
@@ -573,8 +558,7 @@ mod tests {
         let opts = SessionOpts::default();
         for id in [4u64, 2] {
             let mut j = Journal::create(&dir, id, 2, &opts, 0, FsyncPolicy::Never).unwrap();
-            let (seq, rank, kind, loc) = ev(0);
-            j.append_event(seq, rank, &kind, &loc).unwrap();
+            append_old_event(&mut j, 0);
         }
         fs::write(dir.join("session-99.mccj"), b"garbage").unwrap();
         fs::write(dir.join("unrelated.txt"), b"ignored").unwrap();

@@ -25,6 +25,8 @@
 //! * [`registry`] — the supervisor's session table behind the `STATS`
 //!   verb, leak-proof via guard `Drop`, with parking/retiring for
 //!   resumable sessions;
+//! * `pacing` — the token bucket behind the event-rate quota: pure
+//!   decision logic over caller-supplied instants;
 //! * [`server`] — accept loop, per-connection checking, backpressure,
 //!   idle/death salvage-or-park policies, startup recovery, the
 //!   parked-session janitor, and resource governance (admission
@@ -42,6 +44,7 @@ pub mod chaos;
 pub mod client;
 pub mod crc;
 pub mod journal;
+mod pacing;
 pub mod proto;
 pub mod registry;
 pub mod report;

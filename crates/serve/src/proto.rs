@@ -30,11 +30,19 @@
 //! ```text
 //! Hello{version, nprocs, opts}          →
 //!                                       ← Welcome{version, session} | Error{message}
-//! Event{seq, rank, kind, loc} ...       →
+//! Event{seq, rank, kind, loc}
+//!   | Batch{first_seq, columns} ...     →
 //!                                       ← Ack{through}   (durable sessions, periodic)
 //! Finish                                →
 //!                                       ← Report{json}
 //! ```
+//!
+//! The two event shapes are one thing on arrival: the server turns a
+//! decoded `Event` into an [`EventBatch`] of one and feeds both through
+//! the same ingest step, so duplicate-skip, gap detection, journaling,
+//! acknowledgement, quotas and backpressure cannot differ between them.
+//! On the sending side [`StreamEncoder`] is the only code that numbers
+//! events and builds either shape.
 //!
 //! A client that lost its connection mid-session reopens one and sends
 //! `Resume{session, from_seq}` instead of `Hello`; the server answers
@@ -113,6 +121,10 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// Bytes of frame header: 4-byte length, 4-byte CRC32.
 pub const FRAME_HEADER_LEN: usize = 8;
+
+/// Hard cap on events per `Batch` frame, keeping even pathological
+/// payloads far from [`MAX_FRAME_LEN`].
+pub const MAX_BATCH_EVENTS: usize = 4096;
 
 /// Largest world size a `Hello` may announce.
 pub const MAX_RANKS: u32 = 4096;
@@ -259,15 +271,16 @@ impl EventBatch {
         Ok(())
     }
 
-    /// The batch's tail starting at event `skip` (used to journal only
-    /// the events that were not duplicates of an earlier delivery). The
+    /// Events `range` of the batch as a batch of their own (used to
+    /// journal only the events actually ingested: not the duplicates of
+    /// an earlier delivery, not the ones after a refused event). The
     /// location table is kept whole; unreferenced entries are harmless.
-    pub fn suffix(&self, skip: usize) -> EventBatch {
+    pub fn slice(&self, range: std::ops::Range<usize>) -> EventBatch {
         EventBatch {
-            first_seq: self.first_seq + skip as u64,
-            ranks: self.ranks[skip..].to_vec(),
-            loc_idx: self.loc_idx[skip..].to_vec(),
-            kinds: self.kinds[skip..].to_vec(),
+            first_seq: self.first_seq + range.start as u64,
+            ranks: self.ranks[range.clone()].to_vec(),
+            loc_idx: self.loc_idx[range.clone()].to_vec(),
+            kinds: self.kinds[range].to_vec(),
             locs: self.locs.clone(),
         }
     }
@@ -319,7 +332,8 @@ pub enum Frame {
     /// the `binary` capability in the server's `Welcome` (the batch
     /// itself may be encoded by either codec). Event `i` of the batch is
     /// exactly equivalent to an `Event` frame with
-    /// `seq == first_seq + i`, including duplicate-skip semantics on
+    /// `seq == first_seq + i` — by construction: the server ingests an
+    /// `Event` as a batch of one — including duplicate-skip semantics on
     /// resume: a server that already ingested a prefix of the batch
     /// skips it.
     Batch(EventBatch),
@@ -552,6 +566,68 @@ pub fn encode_frame_with(f: &Frame, codec: CodecKind) -> Vec<u8> {
 pub fn write_frame_with(w: &mut impl Write, f: &Frame, codec: CodecKind) -> io::Result<()> {
     w.write_all(&encode_frame_with(f, codec))?;
     w.flush()
+}
+
+/// The sending side of the event stream: numbers events with the
+/// session's dense sequence and encodes them in the negotiated shape —
+/// columnar [`Frame::Batch`] frames of `batch_size` events over the
+/// binary codec, per-event [`Frame::Event`] frames when `batch_size` is
+/// `0` or `1` or the codec is JSON (the shape every server understands).
+/// Incremental, so it serves a live instrumentation stream and a
+/// recorded trace alike.
+pub struct StreamEncoder {
+    codec: CodecKind,
+    /// Events per `Batch` frame; `1` means per-event frames.
+    batch_size: usize,
+    next_seq: u64,
+    /// Events accepted towards the next `Batch` frame.
+    pending: EventBatch,
+}
+
+impl StreamEncoder {
+    /// An encoder whose first event is numbered `first_seq` (`0` for a
+    /// fresh session, the acknowledged offset for a resume).
+    /// `batch_size` is clamped to [`MAX_BATCH_EVENTS`].
+    pub fn new(first_seq: u64, codec: CodecKind, batch_size: usize) -> Self {
+        let batch_size = match codec {
+            CodecKind::Binary => batch_size.clamp(1, MAX_BATCH_EVENTS),
+            CodecKind::Json => 1,
+        };
+        Self { codec, batch_size, next_seq: first_seq, pending: EventBatch::new(first_seq) }
+    }
+
+    /// The sequence number the next event will get — equally, the count
+    /// of events accepted (encoded or pending) when numbering from `0`.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Accepts one event; returns the encoded frame it completed, if
+    /// any. With batching on, events sit in the encoder until the batch
+    /// fills or [`flush`](Self::flush) is called.
+    pub fn push(&mut self, rank: u32, kind: EventKind, loc: &SourceLoc) -> Option<Vec<u8>> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.batch_size == 1 {
+            let frame = Frame::Event { seq, rank, kind, loc: loc.clone() };
+            return Some(encode_frame_with(&frame, self.codec));
+        }
+        self.pending.push(rank, kind, loc);
+        if self.pending.len() >= self.batch_size {
+            self.flush()
+        } else {
+            None
+        }
+    }
+
+    /// Encodes whatever is pending as a (short) `Batch` frame.
+    pub fn flush(&mut self) -> Option<Vec<u8>> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let batch = std::mem::replace(&mut self.pending, EventBatch::new(self.next_seq));
+        Some(encode_frame_with(&Frame::Batch(batch), self.codec))
+    }
 }
 
 /// Writes every buffer in `bufs` in order with as few syscalls as the
@@ -979,14 +1055,46 @@ mod tests {
     }
 
     #[test]
-    fn batch_suffix_drops_prefix_events_only() {
+    fn batch_slice_keeps_only_the_named_events() {
         let b = sample_batch();
-        let tail = b.suffix(2);
+        let tail = b.slice(2..3);
         assert_eq!(tail.first_seq, 102);
         assert_eq!(tail.len(), 1);
         let (rank, _, loc) = tail.event(0);
         assert_eq!(rank, 2);
         assert_eq!(loc, &SourceLoc::new("app.c", 12, "main"));
+        let head = b.slice(0..2);
+        assert_eq!((head.first_seq, head.len()), (100, 2));
+        assert!(head.validate().is_ok());
+    }
+
+    #[test]
+    fn stream_encoder_numbers_events_and_picks_the_shape() {
+        let loc = SourceLoc::new("app.c", 12, "main");
+        let kind = || EventKind::Barrier { comm: CommId::WORLD };
+        let decode = |bytes: Vec<u8>| decode_frame(&bytes).unwrap().0;
+
+        // Binary batches of 2, resuming at seq 10: full batches come out
+        // of push, the short tail out of flush, seq-contiguous.
+        let mut enc = StreamEncoder::new(10, CodecKind::Binary, 2);
+        assert!(enc.push(0, kind(), &loc).is_none());
+        let Frame::Batch(b) = decode(enc.push(1, kind(), &loc).unwrap()) else { panic!() };
+        assert_eq!((b.first_seq, b.len()), (10, 2));
+        assert!(enc.push(0, kind(), &loc).is_none());
+        let Frame::Batch(b) = decode(enc.flush().unwrap()) else { panic!() };
+        assert_eq!((b.first_seq, b.len()), (12, 1));
+        assert!(enc.flush().is_none());
+        assert_eq!(enc.next_seq(), 13);
+
+        // JSON, or a batch size of 0/1, means per-event frames.
+        for (codec, batch_size) in
+            [(CodecKind::Json, 256), (CodecKind::Binary, 1), (CodecKind::Binary, 0)]
+        {
+            let mut enc = StreamEncoder::new(4, codec, batch_size);
+            let frame = decode(enc.push(3, kind(), &loc).unwrap());
+            assert_eq!(frame, Frame::Event { seq: 4, rank: 3, kind: kind(), loc: loc.clone() });
+            assert!(enc.flush().is_none());
+        }
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! identical report again — report delivery is idempotent.
 
 use crate::journal::Journal;
+use crate::report::SessionReport;
+use mcc_core::report::Confidence;
 use mcc_core::streaming::StreamingChecker;
 use mcc_obs::FlightRecorder;
 use serde::Value;
@@ -59,6 +61,38 @@ pub struct Progress {
     /// Whether a survivable rank failure was streamed (failure-aware
     /// analysis; the verdict will be recovered unless it also degrades).
     pub recovered: bool,
+}
+
+impl Progress {
+    /// A live session's progress: what its checker holds right now,
+    /// which is what the memory accountant charges.
+    pub fn live(c: &StreamingChecker, events: u64, journal_bytes: u64) -> Self {
+        Self {
+            events,
+            buffered: c.buffered(),
+            buffered_bytes: c.buffered_bytes() as u64,
+            journal_bytes,
+            peak_buffered: c.peak_buffered,
+            regions_flushed: c.regions_flushed,
+            findings: c.findings_so_far(),
+            degraded: c.is_degraded(),
+            recovered: c.is_recovered(),
+        }
+    }
+
+    /// The last progress of a session whose report is built: the totals
+    /// stand, nothing is buffered or charged any more.
+    pub fn settled(report: &SessionReport) -> Self {
+        Self {
+            events: report.events_ingested,
+            peak_buffered: report.peak_buffered,
+            regions_flushed: report.regions_flushed,
+            findings: report.findings.len(),
+            degraded: report.confidence == Confidence::Degraded,
+            recovered: report.confidence == Confidence::Recovered,
+            ..Self::default()
+        }
+    }
 }
 
 /// Everything a parked durable session needs to resume exactly where the

@@ -2,11 +2,14 @@
 //! policies (backpressure, hard caps, idle salvage, durability).
 //!
 //! The server is plain `std::net` + one thread per connection — no async
-//! runtime. Bounded memory is enforced in two stages: past the *soft*
-//! watermark the connection thread pauses briefly before the next socket
-//! read (backpressure — the kernel socket buffer, and eventually the
-//! client, absorb the stall), and at the *hard* watermark the session's
-//! [`StreamingChecker`] evicts, trading the report down to
+//! runtime. A connection's session loop (`run_session`) reads frames and
+//! hands every event — a `Batch` frame as is, an `Event` frame as a
+//! batch of one — to the single `ingest` step, which answers with what
+//! the loop should do next. Bounded memory is enforced in two stages:
+//! past the *soft* watermark the connection thread pauses briefly before
+//! the next socket read (backpressure — the kernel socket buffer, and
+//! eventually the client, absorb the stall), and at the *hard* watermark
+//! the session's [`StreamingChecker`] evicts, trading the report down to
 //! [`Confidence::Degraded`] instead of growing without bound.
 //!
 //! Sessions end in one of three ways. A non-durable session that goes
@@ -42,9 +45,10 @@
 //! `governance` capability see plain `Error` frames instead.
 
 use crate::journal::{scan_dir, FsyncPolicy, Journal};
+use crate::pacing::TokenBucket;
 use crate::proto::{
-    write_frame_with, Frame, FrameReader, ProtoError, SessionOpts, CAP_BINARY, CAP_TRACECTX,
-    MAX_RANKS, PROTOCOL_VERSION, SERVER_CAPABILITIES,
+    write_frame_with, EventBatch, Frame, FrameReader, ProtoError, SessionOpts, CAP_BINARY,
+    CAP_TRACECTX, MAX_RANKS, PROTOCOL_VERSION, SERVER_CAPABILITIES,
 };
 use crate::registry::{Outcome, ParkedSession, Progress, Registry, ResumeOutcome, SessionGuard};
 use crate::report::{SessionReport, REPORT_SCHEMA_VERSION};
@@ -236,38 +240,6 @@ pub fn pressure_of(accounted: u64, ceiling: u64) -> PressureLevel {
 /// that cross the ceiling long before the event-count cadence fires.
 const BYTES_REPORT_DELTA: usize = 1 << 20;
 
-/// Sleep-pacing token bucket for [`ServeConfig::quota_event_rate`]:
-/// capacity equals the refill rate, so a session gets a one-second
-/// burst allowance and is paced to the sustained rate past it.
-struct TokenBucket {
-    /// Tokens per second, and the bucket capacity.
-    rate: u64,
-    /// Current balance; negative is debt the next stall repays.
-    tokens: f64,
-    last: Instant,
-}
-
-impl TokenBucket {
-    fn new(rate: u64) -> Self {
-        Self { rate, tokens: rate as f64, last: Instant::now() }
-    }
-
-    /// Consumes `n` tokens and returns how long the caller must stall
-    /// to stay within rate (zero while the burst allowance covers it).
-    fn consume(&mut self, n: u64) -> Duration {
-        let now = Instant::now();
-        let refill = now.duration_since(self.last).as_secs_f64() * self.rate as f64;
-        self.tokens = (self.tokens + refill).min(self.rate as f64);
-        self.last = now;
-        self.tokens -= n as f64;
-        if self.tokens >= 0.0 {
-            Duration::ZERO
-        } else {
-            Duration::from_secs_f64(-self.tokens / self.rate as f64)
-        }
-    }
-}
-
 /// Renders the daemon's live metrics: the recorder's deterministic
 /// snapshot plus registry gauges — the `Metrics` verb's payload.
 fn metrics_text(registry: &Registry, cfg: &ServeConfig) -> String {
@@ -351,13 +323,7 @@ fn health_json(registry: &Registry, cfg: &ServeConfig) -> String {
         ("backpressure_stalls", int(counter("serve_backpressure_stalls_total"))),
         ("frames_corrupt", int(counter(names::FRAMES_CORRUPT))),
     ]);
-    struct Doc(Value);
-    impl serde::Serialize for Doc {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-    serde_json::to_string(&Doc(doc))
+    serde_json::to_string(&doc)
         .unwrap_or_else(|_| "{\"schema_version\":2,\"error\":\"health rendering failed\"}".into())
 }
 
@@ -533,19 +499,9 @@ impl Server {
             thread::spawn(move || {
                 while !shutdown.load(Ordering::SeqCst) {
                     thread::sleep(cfg.tick);
-                    for (id, mut parked) in registry.sweep_parked(cfg.resume_grace) {
+                    for (id, parked) in registry.sweep_parked(cfg.resume_grace) {
                         cfg.recorder.add(names::SESSIONS_SWEPT, 1);
-                        logkv!(
-                            Warn,
-                            [("session", id)],
-                            "parked session outlived the resume grace; salvaging"
-                        );
-                        parked.flight.record("sweep", "resume grace expired; salvaging");
-                        dump_flight(&cfg, id, &parked.flight);
-                        let _ = parked.checker.finish_degraded();
-                        if let Some(j) = parked.journal {
-                            let _ = j.retire();
-                        }
+                        discard_parked(&cfg, id, parked, "sweep", "resume grace expired");
                     }
                     shed_under_pressure(&registry, &cfg);
                 }
@@ -553,18 +509,15 @@ impl Server {
         };
         let mut workers: Vec<JoinHandle<()>> = Vec::new();
         loop {
-            let conn: Box<dyn Conn> = match &self.listener {
-                Listener::Tcp(l) => match l.accept() {
-                    Ok((s, _)) => Box::new(s),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                },
+            let accepted: io::Result<Box<dyn Conn>> = match &self.listener {
+                Listener::Tcp(l) => l.accept().map(|(s, _)| Box::new(s) as _),
                 #[cfg(unix)]
-                Listener::Unix(l, _) => match l.accept() {
-                    Ok((s, _)) => Box::new(s),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                },
+                Listener::Unix(l, _) => l.accept().map(|(s, _)| Box::new(s) as _),
+            };
+            let conn = match accepted {
+                Ok(conn) => conn,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
             };
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
@@ -616,19 +569,29 @@ fn shed_under_pressure(registry: &Arc<Registry>, cfg: &ServeConfig) {
     for (id, parked) in registry.shed_victims(to_free) {
         cfg.recorder.add(names::SESSIONS_SHED, 1);
         match parked {
-            Some(mut p) => {
-                logkv!(Warn, [("session", id)], "shed under memory pressure (parked); salvaging");
-                p.flight.record("shed", "critical memory pressure; salvaging");
-                dump_flight(cfg, id, &p.flight);
-                let _ = p.checker.finish_degraded();
-                if let Some(j) = p.journal {
-                    let _ = j.retire();
-                }
-            }
+            Some(p) => discard_parked(cfg, id, p, "shed", "critical memory pressure"),
             None => {
                 logkv!(Warn, [("session", id)], "shed under memory pressure (active); marked");
             }
         }
+    }
+}
+
+/// Salvages a parked session nobody will resume (`why` says who decided
+/// so): dumps its flight recorder, releases its checker and journal.
+fn discard_parked(
+    cfg: &ServeConfig,
+    id: u64,
+    mut parked: ParkedSession,
+    kind: &'static str,
+    why: &str,
+) {
+    logkv!(Warn, [("session", id)], "parked session discarded ({why}); salvaging");
+    parked.flight.record(kind, format!("{why}; salvaging"));
+    dump_flight(cfg, id, &parked.flight);
+    let _ = parked.checker.finish_degraded();
+    if let Some(j) = parked.journal {
+        let _ = j.retire();
     }
 }
 
@@ -680,20 +643,8 @@ fn recover_dir(registry: &Arc<Registry>, dir: &std::path::Path, cfg: &ServeConfi
         if rs.finished {
             // The client finished before the crash; rebuild and retire
             // the report so a Resume redelivers it idempotently.
-            let confidence = checker.confidence();
-            let (regions_flushed, peak_buffered, evictions) =
-                (checker.regions_flushed, checker.peak_buffered, checker.evictions);
-            let findings = checker.finish();
-            let nfindings = findings.len() as u64;
-            let report = SessionReport {
-                schema_version: REPORT_SCHEMA_VERSION,
-                confidence,
-                findings,
-                events_ingested: expected_seq,
-                regions_flushed,
-                peak_buffered,
-                evictions,
-            };
+            let report = conclude(checker, expected_seq, false);
+            let nfindings = report.findings.len() as u64;
             registry.adopt_retired(rs.session, report.to_json(), expected_seq, nfindings);
             let _ = std::fs::remove_file(&rs.path);
             log!(Info, "recovered session {} (finished, {expected_seq} event(s))", rs.session);
@@ -713,17 +664,7 @@ fn recover_dir(registry: &Arc<Registry>, dir: &std::path::Path, cfg: &ServeConfi
                     nprocs: rs.nprocs as usize,
                     expected_seq,
                     journal,
-                    progress: Progress {
-                        events: expected_seq,
-                        buffered: checker.buffered(),
-                        buffered_bytes: checker.buffered_bytes() as u64,
-                        journal_bytes: rs.intact_len,
-                        peak_buffered: checker.peak_buffered,
-                        regions_flushed: checker.regions_flushed,
-                        findings: checker.findings_so_far(),
-                        degraded: checker.is_degraded(),
-                        recovered: checker.is_recovered(),
-                    },
+                    progress: Progress::live(&checker, expected_seq, rs.intact_len),
                     checker,
                     flight,
                     governance: rs.opts.governance,
@@ -741,6 +682,11 @@ fn recover_dir(registry: &Arc<Registry>, dir: &std::path::Path, cfg: &ServeConfi
 // able to read, so they stay JSON regardless of negotiation.
 fn send(conn: &mut impl Write, f: &Frame) -> bool {
     write_frame_with(conn, f, CodecKind::Json).is_ok()
+}
+
+/// Answers with a plain `Error` frame — what every client version reads.
+fn refuse(conn: &mut impl Write, message: impl Into<String>) {
+    send(conn, &Frame::Error { message: message.into() });
 }
 
 /// Validates a `Hello`; `Err` is the refusal message for the client.
@@ -772,10 +718,43 @@ fn welcome_frame(session: u64, cfg: &ServeConfig) -> Frame {
     }
 }
 
+/// Answers a query verb — valid both before a session and during one.
+fn query_reply(verb: &Frame, registry: &Registry, cfg: &ServeConfig) -> Frame {
+    match verb {
+        Frame::Stats => Frame::StatsReport { json: registry.stats_json() },
+        Frame::Metrics => Frame::MetricsReport { text: metrics_text(registry, cfg) },
+        Frame::Health => Frame::HealthReport { json: health_json(registry, cfg) },
+        other => Frame::Error { message: format!("not a query verb: {other:?}") },
+    }
+}
+
+/// Finishes a session's checker into its report — normally, or in
+/// degraded mode for a salvage. The only place a report is built, so a
+/// completed, a recovered and a salvaged session cannot disagree on
+/// what one contains.
+fn conclude(c: StreamingChecker, events_ingested: u64, degraded: bool) -> SessionReport {
+    let (regions_flushed, peak_buffered, evictions) =
+        (c.regions_flushed, c.peak_buffered, c.evictions);
+    let (confidence, findings) = if degraded {
+        (Confidence::Degraded, c.finish_degraded())
+    } else {
+        (c.confidence(), c.finish())
+    };
+    SessionReport {
+        schema_version: REPORT_SCHEMA_VERSION,
+        confidence,
+        findings,
+        events_ingested,
+        regions_flushed,
+        peak_buffered,
+        evictions,
+    }
+}
+
 /// Everything one running session's loop needs.
 struct SessionCtx {
     guard: SessionGuard,
-    checker: Option<StreamingChecker>,
+    checker: StreamingChecker,
     journal: Option<Journal>,
     durable: bool,
     /// Events ingested == the next sequence number expected.
@@ -800,15 +779,42 @@ struct SessionCtx {
     opened_at: Instant,
     /// Pacing bucket for the per-session event-rate quota.
     bucket: Option<TokenBucket>,
-    /// Whether the last ingest stalled on the rate quota, so `Throttled`
-    /// is sent once per crossing, not once per stalled frame.
-    throttle_notified: bool,
     /// Buffered bytes at the last progress report, for the ~1 MiB
     /// byte-growth report trigger.
     last_report_bytes: usize,
 }
 
 impl SessionCtx {
+    /// Attaches a connection to a session's state — a parked session's,
+    /// or a fresh one's (which is a parked session at seq 0). The
+    /// connection-scoped clocks start here: the deadline quota bounds
+    /// one connection's wall-clock, not the session's lifetime across
+    /// reconnects (parked time has its own bound in the resume grace).
+    fn attach(guard: SessionGuard, s: ParkedSession, durable: bool, cfg: &ServeConfig) -> Self {
+        let now = Instant::now();
+        Self {
+            guard,
+            checker: s.checker,
+            journal: s.journal,
+            durable,
+            events: s.expected_seq,
+            last_ack: s.expected_seq,
+            nprocs: s.nprocs,
+            pending_since: None,
+            stalled: false,
+            flight: s.flight,
+            governance: s.governance,
+            opened_at: now,
+            bucket: (cfg.quota_event_rate > 0).then(|| TokenBucket::new(cfg.quota_event_rate, now)),
+            last_report_bytes: 0,
+        }
+    }
+
+    /// Bytes in the session's journal — its disk-backlog charge.
+    fn journal_bytes(&self) -> u64 {
+        self.journal.as_ref().map_or(0, |j| j.bytes_appended())
+    }
+
     /// Syncs the journal for an ack, timing the fsync into the
     /// [`names::JOURNAL_FSYNC_US`] histogram. A failed sync downgrades
     /// durability to in-memory parking (journal dropped).
@@ -828,7 +834,7 @@ impl SessionCtx {
     }
 
     /// Sends the periodic `Ack`, observing ingest→ack latency. Returns
-    /// `false` when the client is gone (caller parks).
+    /// `false` when the client is gone (the durable session then parks).
     fn send_ack(&mut self, conn: &mut impl Write, obs: &RecorderHandle) -> bool {
         let through = self.events;
         if !send(conn, &Frame::Ack { through }) {
@@ -853,7 +859,7 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
     reader.set_allow_binary(!cfg.no_binary);
     let obs = &cfg.recorder;
 
-    // Pre-session: answer Stats/Metrics, wait for Hello or Resume.
+    // Pre-session: answer query verbs, wait for Hello or Resume.
     let started = Instant::now();
     enum Opened {
         New { nprocs: usize, opts: SessionOpts },
@@ -861,21 +867,8 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
     }
     let opened = loop {
         match reader.next_frame() {
-            Ok(Some(Frame::Stats)) => {
-                let json = registry.stats_json();
-                if !send(reader.get_mut(), &Frame::StatsReport { json }) {
-                    return;
-                }
-            }
-            Ok(Some(Frame::Metrics)) => {
-                let text = metrics_text(&registry, cfg);
-                if !send(reader.get_mut(), &Frame::MetricsReport { text }) {
-                    return;
-                }
-            }
-            Ok(Some(Frame::Health)) => {
-                let json = health_json(&registry, cfg);
-                if !send(reader.get_mut(), &Frame::HealthReport { json }) {
+            Ok(Some(verb @ (Frame::Stats | Frame::Metrics | Frame::Health))) => {
+                if !send(reader.get_mut(), &query_reply(&verb, &registry, cfg)) {
                     return;
                 }
             }
@@ -884,7 +877,7 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
                     registry.note_rejected();
                     obs.add("serve_hellos_rejected_total", 1);
                     log!(Warn, "hello rejected: {message}");
-                    send(reader.get_mut(), &Frame::Error { message });
+                    refuse(reader.get_mut(), message);
                     return;
                 }
                 // Admission control: a full house or elevated memory
@@ -941,7 +934,7 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
                             );
                             log!(Warn, "{message}");
                             guard.park(*parked);
-                            send(reader.get_mut(), &Frame::Error { message });
+                            refuse(reader.get_mut(), message);
                             return;
                         }
                         break Opened::Resumed { guard, parked };
@@ -956,13 +949,9 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
                         return;
                     }
                     ResumeOutcome::Active => {
-                        send(
+                        refuse(
                             reader.get_mut(),
-                            &Frame::Error {
-                                message: format!(
-                                    "session {session} is still attached to another connection"
-                                ),
-                            },
+                            format!("session {session} is still attached to another connection"),
                         );
                         return;
                     }
@@ -974,12 +963,7 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
                 }
             }
             Ok(Some(_)) => {
-                send(
-                    reader.get_mut(),
-                    &Frame::Error {
-                        message: "expected Hello, Resume, Stats, Metrics, or Health".into(),
-                    },
-                );
+                refuse(reader.get_mut(), "expected Hello, Resume, Stats, Metrics, or Health");
                 return;
             }
             Ok(None) => return,
@@ -988,16 +972,15 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
                     return;
                 }
             }
-            Err(e @ (ProtoError::Corrupt { .. } | ProtoError::Malformed(_))) => {
-                obs.add(names::FRAMES_CORRUPT, 1);
-                send(reader.get_mut(), &Frame::Error { message: e.to_string() });
-                return;
-            }
-            Err(ProtoError::TooLarge(n)) => {
-                send(
-                    reader.get_mut(),
-                    &Frame::Error { message: ProtoError::TooLarge(n).to_string() },
-                );
+            Err(
+                e @ (ProtoError::Corrupt { .. }
+                | ProtoError::Malformed(_)
+                | ProtoError::TooLarge(_)),
+            ) => {
+                if !matches!(e, ProtoError::TooLarge(_)) {
+                    obs.add(names::FRAMES_CORRUPT, 1);
+                }
+                refuse(reader.get_mut(), e.to_string());
                 return;
             }
             Err(_) => return,
@@ -1014,7 +997,7 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
                     registry.note_rejected();
                     obs.add("serve_hellos_rejected_total", 1);
                     log!(Warn, "session refused: {e}");
-                    send(reader.get_mut(), &Frame::Error { message: e.to_string() });
+                    refuse(reader.get_mut(), e.to_string());
                     return;
                 }
             };
@@ -1027,28 +1010,14 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
             let guard = registry.register(nprocs);
             obs.add("serve_sessions_started_total", 1);
             log!(Info, "session {} opened: {nprocs} rank(s), {threads} thread(s)", guard.id());
-            let journal = if opts.durable {
-                cfg.journal_dir.as_deref().and_then(|dir| {
-                    match Journal::create(
-                        dir,
-                        guard.id(),
-                        nprocs as u32,
-                        &opts,
-                        cap as u32,
-                        cfg.fsync,
-                    ) {
-                        Ok(j) => Some(j),
-                        Err(e) => {
-                            // A dead disk downgrades durability to
-                            // in-memory parking; the session still runs.
-                            log!(Warn, "session {}: cannot create journal: {e}", guard.id());
-                            None
-                        }
-                    }
-                })
-            } else {
-                None
-            };
+            let id = guard.id();
+            let journal = cfg.journal_dir.as_deref().filter(|_| opts.durable).and_then(|dir| {
+                // A dead disk downgrades durability to in-memory
+                // parking; the session still runs.
+                Journal::create(dir, id, nprocs as u32, &opts, cap as u32, cfg.fsync)
+                    .map_err(|e| log!(Warn, "session {id}: cannot create journal: {e}"))
+                    .ok()
+            });
             if !send(reader.get_mut(), &welcome_frame(guard.id(), cfg)) {
                 // Client is already gone; the guard's Drop records the
                 // salvage (nothing ingested yet, nothing to park).
@@ -1062,53 +1031,24 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
                 "open",
                 format!("nprocs={nprocs} threads={threads} durable={}", opts.durable),
             );
-            SessionCtx {
-                guard,
-                checker: Some(checker),
-                journal,
-                durable: opts.durable,
-                events: 0,
-                last_ack: 0,
+            let fresh = ParkedSession {
                 nprocs,
-                pending_since: None,
-                stalled: false,
+                checker,
+                expected_seq: 0,
+                journal,
+                progress: Progress::default(),
                 flight,
                 governance: opts.governance,
-                opened_at: Instant::now(),
-                bucket: (cfg.quota_event_rate > 0).then(|| TokenBucket::new(cfg.quota_event_rate)),
-                throttle_notified: false,
-                last_report_bytes: 0,
-            }
+            };
+            SessionCtx::attach(guard, fresh, opts.durable, cfg)
         }
         Opened::Resumed { guard, parked } => {
             obs.add(names::SESSIONS_RESUMED, 1);
             let id = guard.id();
             let through = parked.expected_seq;
             logkv!(Info, [("session", id)], "resumed at seq {through}");
-            let parked = *parked;
-            let mut flight = parked.flight;
-            flight.record("resume", format!("at seq {through}"));
-            let ctx = SessionCtx {
-                guard,
-                checker: Some(parked.checker),
-                journal: parked.journal,
-                durable: true,
-                events: through,
-                last_ack: through,
-                nprocs: parked.nprocs,
-                pending_since: None,
-                stalled: false,
-                flight,
-                governance: parked.governance,
-                // The deadline clock restarts on resume: the quota bounds
-                // one connection's wall-clock, not the session's lifetime
-                // across reconnects (parked time already has its own
-                // bound in the resume grace).
-                opened_at: Instant::now(),
-                bucket: (cfg.quota_event_rate > 0).then(|| TokenBucket::new(cfg.quota_event_rate)),
-                throttle_notified: false,
-                last_report_bytes: 0,
-            };
+            let mut ctx = SessionCtx::attach(guard, *parked, true, cfg);
+            ctx.flight.record("resume", format!("at seq {through}"));
             if !send(reader.get_mut(), &welcome_frame(id, cfg))
                 || !send(reader.get_mut(), &Frame::Ack { through })
             {
@@ -1123,6 +1063,18 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
     run_session(&mut reader, &registry, cfg, ctx);
 }
 
+/// What the session loop does after handling one frame (or one
+/// frameless governance check).
+enum Next {
+    /// Keep reading.
+    Continue,
+    /// The connection or the stream is no longer usable: park a durable
+    /// session (awaiting a `Resume`), salvage any other.
+    Abandon,
+    /// Degrade-then-evict under a governance limit.
+    Evict { quota: &'static str, limit: u64, observed: u64 },
+}
+
 fn run_session(
     reader: &mut FrameReader<Box<dyn Conn>>,
     registry: &Arc<Registry>,
@@ -1132,449 +1084,76 @@ fn run_session(
     let obs = &cfg.recorder;
     let session_span = obs.span("serve.session");
     let mut last_activity = Instant::now();
-    let progress_of = |c: &StreamingChecker, events: u64, journal_bytes: u64| Progress {
-        events,
-        buffered: c.buffered(),
-        buffered_bytes: c.buffered_bytes() as u64,
-        journal_bytes,
-        peak_buffered: c.peak_buffered,
-        regions_flushed: c.regions_flushed,
-        findings: c.findings_so_far(),
-        degraded: c.is_degraded(),
-        recovered: c.is_recovered(),
-    };
     loop {
         // Governance checks that do not need a frame to fire: a shed
         // mark left by the janitor, or the wall-clock deadline. Both
         // are noticed at worst one read-timeout tick late.
-        if registry.shed_requested(ctx.guard.id()) {
-            let observed = ctx.checker.as_ref().map(|c| c.buffered_bytes() as u64).unwrap_or(0)
-                + ctx.journal.as_ref().map(|j| j.bytes_appended()).unwrap_or(0);
+        let overdue = cfg
+            .session_deadline
+            .map(|deadline| (deadline, ctx.opened_at.elapsed()))
+            .filter(|(deadline, elapsed)| elapsed >= deadline);
+        let next = if registry.shed_requested(ctx.guard.id()) {
             ctx.flight.record("shed", "critical memory pressure; evicting");
-            quota_evict(
-                ctx,
-                registry,
-                reader.get_mut(),
-                cfg,
-                "memory-pressure",
-                cfg.mem_ceiling as u64,
-                observed,
-            );
-            return;
-        }
-        if let Some(deadline) = cfg.session_deadline {
-            let elapsed = ctx.opened_at.elapsed();
-            if elapsed >= deadline {
-                obs.add(names::QUOTA_EVICTIONS, 1);
-                quota_evict(
-                    ctx,
-                    registry,
-                    reader.get_mut(),
-                    cfg,
-                    "deadline",
-                    deadline.as_millis() as u64,
-                    elapsed.as_millis() as u64,
-                );
-                return;
+            Next::Evict {
+                quota: "memory-pressure",
+                limit: cfg.mem_ceiling as u64,
+                observed: ctx.checker.buffered_bytes() as u64 + ctx.journal_bytes(),
             }
-        }
-        match reader.next_frame() {
-            Ok(Some(Frame::Event { seq, rank, kind, loc })) => {
-                last_activity = Instant::now();
-                if ctx.durable {
-                    if seq < ctx.events {
-                        // Idempotent re-send after a resume: skip what
-                        // the checker already holds.
-                        obs.add(names::EVENTS_DUPLICATE, 1);
-                        continue;
-                    }
-                    if seq > ctx.events {
-                        let message = format!("event gap: expected seq {}, got {seq}", ctx.events);
-                        ctx.flight.record("gap", message.clone());
-                        send(reader.get_mut(), &Frame::Error { message });
-                        park(ctx, obs);
-                        return;
-                    }
+        } else if let Some((deadline, elapsed)) = overdue {
+            obs.add(names::QUOTA_EVICTIONS, 1);
+            Next::Evict {
+                quota: "deadline",
+                limit: deadline.as_millis() as u64,
+                observed: elapsed.as_millis() as u64,
+            }
+        } else {
+            match reader.next_frame() {
+                // An Event is a Batch of one on arrival: both wire
+                // shapes take the same ingest step.
+                Ok(Some(Frame::Event { seq, rank, kind, loc })) => {
+                    last_activity = Instant::now();
+                    let mut one = EventBatch::new(seq);
+                    one.push(rank, kind, &loc);
+                    ingest(&mut ctx, &one, registry, reader.get_mut(), cfg)
                 }
-                let Some(c) = ctx.checker.as_mut() else {
-                    send(
-                        reader.get_mut(),
-                        &Frame::Error { message: "internal: session already closed".into() },
+                Ok(Some(Frame::Batch(batch))) => {
+                    last_activity = Instant::now();
+                    ingest(&mut ctx, &batch, registry, reader.get_mut(), cfg)
+                }
+                Ok(Some(Frame::TraceCtx { trace_id, parent_span })) if !cfg.no_tracectx => {
+                    last_activity = Instant::now();
+                    obs.link_remote(session_span.id(), trace_id, parent_span);
+                    ctx.flight.record(
+                        "tracectx",
+                        format!("trace {trace_id:#x} parent span {parent_span}"),
                     );
-                    finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                    return;
-                };
-                let journal_copy = ctx.journal.is_some().then(|| (kind.clone(), loc.clone()));
-                let evictions_before = c.evictions;
-                if let Err(e) = c.push(Rank(rank), kind, loc) {
-                    ctx.flight.record("push_error", e.to_string());
-                    send(reader.get_mut(), &Frame::Error { message: e.to_string() });
-                    // A client feeding invalid events gets a degraded
-                    // report, durable or not — there is nothing coherent
-                    // to resume into.
-                    finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                    return;
+                    Next::Continue
                 }
-                if c.evictions > evictions_before {
-                    ctx.flight.record("evict", format!("eviction #{} at seq {seq}", c.evictions));
-                }
-                if let (Some(j), Some((kind, loc))) = (ctx.journal.as_mut(), journal_copy) {
-                    if let Err(e) = j.append_event(seq, rank, &kind, &loc) {
-                        // Journal failure downgrades durability to
-                        // in-memory parking; the stream continues.
-                        logkv!(Warn, [("session", ctx.guard.id())], "journal write failed: {e}");
-                        ctx.flight.record("journal_lost", e.to_string());
-                        ctx.journal = None;
+                Ok(Some(Frame::Finish)) => return complete(ctx, registry, reader.get_mut(), cfg),
+                Ok(Some(verb @ (Frame::Stats | Frame::Metrics | Frame::Health))) => {
+                    if send(reader.get_mut(), &query_reply(&verb, registry, cfg)) {
+                        Next::Continue
+                    } else {
+                        Next::Abandon
                     }
                 }
-                ctx.events += 1;
-                ctx.pending_since.get_or_insert_with(Instant::now);
-                obs.add("serve_events_total", 1);
-                let buffered_bytes = c.buffered_bytes();
-                // Progress on the 256-event cadence, and additionally on
-                // every ~1 MiB of buffered-byte growth — a flood of huge
-                // events must reach the accountant before it reaches the
-                // event-count cadence.
-                if ctx.events.is_multiple_of(256)
-                    || buffered_bytes.abs_diff(ctx.last_report_bytes) >= BYTES_REPORT_DELTA
-                {
-                    ctx.last_report_bytes = buffered_bytes;
-                    let jb = ctx.journal.as_ref().map(|j| j.bytes_appended()).unwrap_or(0);
-                    ctx.guard.report_progress(progress_of(c, ctx.events, jb));
-                    ctx.flight.record("frame", format!("event seq {seq}"));
+                // Includes a TraceCtx on an opted-out server: the
+                // capability was not announced, so the frame is as
+                // unknown as it is to a pre-tracectx build.
+                Ok(Some(_)) => {
+                    refuse(reader.get_mut(), "unexpected frame mid-session");
+                    Next::Abandon
                 }
-                if cfg.quota_max_events > 0 && ctx.events > cfg.quota_max_events {
-                    obs.add(names::QUOTA_EVICTIONS, 1);
-                    let observed = ctx.events;
-                    quota_evict(
-                        ctx,
-                        registry,
-                        reader.get_mut(),
-                        cfg,
-                        "max-events",
-                        cfg.quota_max_events,
-                        observed,
-                    );
-                    return;
+                // Clean EOF without Finish, truncation, or transport
+                // errors: the client died mid-stream.
+                Ok(None) | Err(ProtoError::Truncated { .. }) | Err(ProtoError::Io(_)) => {
+                    ctx.flight.record("disconnect", "stream ended without Finish");
+                    Next::Abandon
                 }
-                if cfg.quota_max_bytes > 0 && buffered_bytes > cfg.quota_max_bytes {
-                    obs.add(names::QUOTA_EVICTIONS, 1);
-                    quota_evict(
-                        ctx,
-                        registry,
-                        reader.get_mut(),
-                        cfg,
-                        "max-buffered-bytes",
-                        cfg.quota_max_bytes as u64,
-                        buffered_bytes as u64,
-                    );
-                    return;
+                Err(ProtoError::Idle) if last_activity.elapsed() < cfg.idle_timeout => {
+                    Next::Continue
                 }
-                if ctx.durable && ctx.events - ctx.last_ack >= cfg.ack_interval {
-                    ctx.sync_journal_for_ack(obs);
-                    if !ctx.send_ack(reader.get_mut(), obs) {
-                        park(ctx, obs);
-                        return;
-                    }
-                }
-                throttle(&mut ctx, registry, reader.get_mut(), cfg, 1);
-                let buffered = ctx.checker.as_ref().map(|c| c.buffered()).unwrap_or(0);
-                if buffered >= cfg.soft_watermark {
-                    obs.add("serve_backpressure_stalls_total", 1);
-                    if !ctx.stalled {
-                        ctx.stalled = true;
-                        ctx.flight.record(
-                            "backpressure",
-                            format!("buffered {buffered} crossed soft watermark"),
-                        );
-                    }
-                    thread::sleep(cfg.backpressure_pause);
-                } else if ctx.stalled {
-                    ctx.stalled = false;
-                    ctx.flight.record("backpressure", format!("cleared at {buffered}"));
-                }
-            }
-            Ok(Some(Frame::Batch(batch))) => {
-                last_activity = Instant::now();
-                if let Err(message) = batch.validate() {
-                    obs.add(names::FRAMES_CORRUPT, 1);
-                    ctx.flight.record("batch_invalid", message.clone());
-                    send(reader.get_mut(), &Frame::Error { message });
-                    finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                    return;
-                }
-                ctx.flight.record(
-                    "frame",
-                    format!("batch of {} at seq {}", batch.len(), batch.first_seq),
-                );
-                // The batch is exactly equivalent to its expansion into
-                // Event frames: same dedup-prefix semantics on durable
-                // re-sends, same gap check, same push-then-journal order.
-                let mut skip = 0usize;
-                if ctx.durable {
-                    if batch.first_seq > ctx.events {
-                        let message = format!(
-                            "event gap: expected seq {}, got {}",
-                            ctx.events, batch.first_seq
-                        );
-                        ctx.flight.record("gap", message.clone());
-                        send(reader.get_mut(), &Frame::Error { message });
-                        park(ctx, obs);
-                        return;
-                    }
-                    skip = ((ctx.events - batch.first_seq) as usize).min(batch.len());
-                    if skip > 0 {
-                        obs.add(names::EVENTS_DUPLICATE, skip as u64);
-                    }
-                    if skip == batch.len() {
-                        continue;
-                    }
-                }
-                let events_before = ctx.events;
-                let buffered_bytes;
-                {
-                    let Some(c) = ctx.checker.as_mut() else {
-                        send(
-                            reader.get_mut(),
-                            &Frame::Error { message: "internal: session already closed".into() },
-                        );
-                        finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                        return;
-                    };
-                    let evictions_before = c.evictions;
-                    for i in skip..batch.len() {
-                        let (rank, kind, loc) = batch.event(i);
-                        if let Err(e) = c.push(Rank(rank), kind.clone(), loc.clone()) {
-                            ctx.flight.record("push_error", e.to_string());
-                            send(reader.get_mut(), &Frame::Error { message: e.to_string() });
-                            finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                            return;
-                        }
-                        ctx.events += 1;
-                    }
-                    if c.evictions > evictions_before {
-                        ctx.flight.record(
-                            "evict",
-                            format!(
-                                "{} eviction(s) in batch at seq {}",
-                                c.evictions - evictions_before,
-                                batch.first_seq
-                            ),
-                        );
-                    }
-                    obs.add("serve_events_total", ctx.events - events_before);
-                    buffered_bytes = c.buffered_bytes();
-                    // One progress report per 256-event boundary crossed,
-                    // matching the per-event path's cadence — plus the
-                    // same ~1 MiB byte-growth trigger.
-                    if events_before / 256 != ctx.events / 256
-                        || buffered_bytes.abs_diff(ctx.last_report_bytes) >= BYTES_REPORT_DELTA
-                    {
-                        ctx.last_report_bytes = buffered_bytes;
-                        let jb = ctx.journal.as_ref().map(|j| j.bytes_appended()).unwrap_or(0);
-                        ctx.guard.report_progress(progress_of(c, ctx.events, jb));
-                    }
-                }
-                ctx.pending_since.get_or_insert_with(Instant::now);
-                if ctx.journal.is_some() {
-                    let tail = batch.suffix(skip);
-                    if let Some(j) = ctx.journal.as_mut() {
-                        if let Err(e) = j.append_batch(&tail) {
-                            logkv!(
-                                Warn,
-                                [("session", ctx.guard.id())],
-                                "journal write failed: {e}"
-                            );
-                            ctx.flight.record("journal_lost", e.to_string());
-                            ctx.journal = None;
-                        }
-                    }
-                }
-                if cfg.quota_max_events > 0 && ctx.events > cfg.quota_max_events {
-                    obs.add(names::QUOTA_EVICTIONS, 1);
-                    let observed = ctx.events;
-                    quota_evict(
-                        ctx,
-                        registry,
-                        reader.get_mut(),
-                        cfg,
-                        "max-events",
-                        cfg.quota_max_events,
-                        observed,
-                    );
-                    return;
-                }
-                if cfg.quota_max_bytes > 0 && buffered_bytes > cfg.quota_max_bytes {
-                    obs.add(names::QUOTA_EVICTIONS, 1);
-                    quota_evict(
-                        ctx,
-                        registry,
-                        reader.get_mut(),
-                        cfg,
-                        "max-buffered-bytes",
-                        cfg.quota_max_bytes as u64,
-                        buffered_bytes as u64,
-                    );
-                    return;
-                }
-                if ctx.durable && ctx.events - ctx.last_ack >= cfg.ack_interval {
-                    ctx.sync_journal_for_ack(obs);
-                    if !ctx.send_ack(reader.get_mut(), obs) {
-                        park(ctx, obs);
-                        return;
-                    }
-                }
-                let ingested = ctx.events - events_before;
-                throttle(&mut ctx, registry, reader.get_mut(), cfg, ingested);
-                let buffered = ctx.checker.as_ref().map(|c| c.buffered()).unwrap_or(0);
-                if buffered >= cfg.soft_watermark {
-                    obs.add("serve_backpressure_stalls_total", 1);
-                    if !ctx.stalled {
-                        ctx.stalled = true;
-                        ctx.flight.record(
-                            "backpressure",
-                            format!("buffered {buffered} crossed soft watermark"),
-                        );
-                    }
-                    thread::sleep(cfg.backpressure_pause);
-                } else if ctx.stalled {
-                    ctx.stalled = false;
-                    ctx.flight.record("backpressure", format!("cleared at {buffered}"));
-                }
-            }
-            Ok(Some(Frame::TraceCtx { trace_id, parent_span })) => {
-                if cfg.no_tracectx {
-                    // The capability was not announced; an opted-out
-                    // server treats the frame exactly like a pre-tracectx
-                    // build treats any unknown frame.
-                    send(
-                        reader.get_mut(),
-                        &Frame::Error { message: "unexpected frame mid-session".into() },
-                    );
-                    finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                    return;
-                }
-                last_activity = Instant::now();
-                obs.link_remote(session_span.id(), trace_id, parent_span);
-                ctx.flight
-                    .record("tracectx", format!("trace {trace_id:#x} parent span {parent_span}"));
-            }
-            Ok(Some(Frame::Health)) => {
-                let json = health_json(registry, cfg);
-                if !send(reader.get_mut(), &Frame::HealthReport { json }) {
-                    finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                    return;
-                }
-            }
-            Ok(Some(Frame::Finish)) => {
-                let Some(c) = ctx.checker.take() else {
-                    send(
-                        reader.get_mut(),
-                        &Frame::Error { message: "internal: session already closed".into() },
-                    );
-                    finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                    return;
-                };
-                let jb = ctx.journal.as_ref().map(|j| j.bytes_appended()).unwrap_or(0);
-                ctx.guard.report_progress(progress_of(&c, ctx.events, jb));
-                let confidence = c.confidence();
-                let (regions_flushed, peak_buffered, evictions) =
-                    (c.regions_flushed, c.peak_buffered, c.evictions);
-                let findings = c.finish();
-                let report = SessionReport {
-                    schema_version: REPORT_SCHEMA_VERSION,
-                    confidence,
-                    findings,
-                    events_ingested: ctx.events,
-                    regions_flushed,
-                    peak_buffered,
-                    evictions,
-                };
-                ctx.guard.report_progress(Progress {
-                    events: ctx.events,
-                    buffered: 0,
-                    buffered_bytes: 0,
-                    journal_bytes: 0,
-                    peak_buffered: report.peak_buffered,
-                    regions_flushed: report.regions_flushed,
-                    findings: report.findings.len(),
-                    degraded: report.confidence == Confidence::Degraded,
-                    recovered: report.confidence == Confidence::Recovered,
-                });
-                let json = report.to_json();
-                // Settle the registry before the client can see the
-                // report: a client that reads its Report and immediately
-                // asks for STATS must not find its own session active.
-                let id = ctx.guard.id();
-                if ctx.durable {
-                    // Mark completion in the journal, retire the report
-                    // for idempotent redelivery, then hand it over.
-                    if let Some(j) = ctx.journal.as_mut() {
-                        let _ = j.append_finish();
-                    }
-                    registry.retire_report(id, json.clone());
-                }
-                ctx.guard.finish(Outcome::Completed);
-                obs.add("serve_sessions_completed_total", 1);
-                // The Report acknowledges everything still pending, so
-                // it closes the ingest→ack window for short sessions
-                // that never crossed the ack interval.
-                if let Some(since) = ctx.pending_since.take() {
-                    obs.observe(
-                        mcc_obs::names::INGEST_ACK_LATENCY_US,
-                        since.elapsed().as_micros() as u64,
-                    );
-                }
-                logkv!(
-                    Info,
-                    [("session", id)],
-                    "completed: {} event(s), {} finding(s)",
-                    ctx.events,
-                    report.findings.len()
-                );
-                let delivered = send(reader.get_mut(), &Frame::Report { json });
-                if delivered {
-                    // The journal has served its purpose; the in-memory
-                    // retired report covers a redelivery race. An
-                    // undelivered report keeps its journal so a daemon
-                    // crash can still rebuild it.
-                    if let Some(j) = ctx.journal.take() {
-                        let _ = j.retire();
-                    }
-                }
-                return;
-            }
-            Ok(Some(Frame::Stats)) => {
-                let json = registry.stats_json();
-                if !send(reader.get_mut(), &Frame::StatsReport { json }) {
-                    finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                    return;
-                }
-            }
-            Ok(Some(Frame::Metrics)) => {
-                let text = metrics_text(registry, cfg);
-                if !send(reader.get_mut(), &Frame::MetricsReport { text }) {
-                    finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                    return;
-                }
-            }
-            Ok(Some(_)) => {
-                send(
-                    reader.get_mut(),
-                    &Frame::Error { message: "unexpected frame mid-session".into() },
-                );
-                finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                return;
-            }
-            // Clean EOF without Finish, truncation, or transport errors:
-            // the client died mid-stream.
-            Ok(None) | Err(ProtoError::Truncated { .. }) | Err(ProtoError::Io(_)) => {
-                ctx.flight.record("disconnect", "stream ended without Finish");
-                finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                return;
-            }
-            Err(ProtoError::Idle) => {
-                if last_activity.elapsed() >= cfg.idle_timeout {
+                Err(ProtoError::Idle) => {
                     logkv!(
                         Warn,
                         [("session", ctx.guard.id())],
@@ -1582,36 +1161,239 @@ fn run_session(
                         cfg.idle_timeout
                     );
                     ctx.flight.record("idle", format!("idle past {:?}", cfg.idle_timeout));
-                    finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                    return;
+                    Next::Abandon
                 }
+                Err(e @ (ProtoError::Corrupt { .. } | ProtoError::Malformed(_))) => {
+                    // The transport corrupted a frame: answer with a
+                    // typed Error (the stream can no longer be trusted),
+                    // then park or salvage. A durable client reconnects
+                    // and resumes from its last Ack.
+                    obs.add(names::FRAMES_CORRUPT, 1);
+                    logkv!(Warn, [("session", ctx.guard.id())], "{e}");
+                    ctx.flight.record("corrupt", e.to_string());
+                    refuse(reader.get_mut(), e.to_string());
+                    Next::Abandon
+                }
+                Err(_) => Next::Abandon,
             }
-            Err(e @ (ProtoError::Corrupt { .. } | ProtoError::Malformed(_))) => {
-                // The transport corrupted a frame: answer with a typed
-                // Error (the stream can no longer be trusted), then park
-                // or salvage. A durable client reconnects and resumes
-                // from its last Ack.
-                obs.add(names::FRAMES_CORRUPT, 1);
-                logkv!(Warn, [("session", ctx.guard.id())], "{e}");
-                ctx.flight.record("corrupt", e.to_string());
-                send(reader.get_mut(), &Frame::Error { message: e.to_string() });
-                finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                return;
-            }
-            Err(_) => {
-                finish_abnormally(ctx, registry, reader.get_mut(), cfg);
-                return;
+        };
+        match next {
+            Next::Continue => {}
+            Next::Abandon if ctx.durable => return park(ctx, obs),
+            Next::Abandon => return salvage(ctx, registry, reader.get_mut(), cfg),
+            Next::Evict { quota, limit, observed } => {
+                return quota_evict(ctx, registry, reader.get_mut(), cfg, quota, limit, observed)
             }
         }
     }
 }
 
+/// The one ingest step. Both wire shapes arrive here as an
+/// [`EventBatch`] (an `Event` frame as a batch of one), so validation,
+/// the durable duplicate-prefix skip and gap check, the push into the
+/// checker, the journal append, progress reporting, quotas, the ack,
+/// rate pacing and backpressure happen in one order for every event.
+fn ingest(
+    ctx: &mut SessionCtx,
+    batch: &EventBatch,
+    registry: &Arc<Registry>,
+    conn: &mut impl Write,
+    cfg: &ServeConfig,
+) -> Next {
+    let obs = &cfg.recorder;
+    if let Err(message) = batch.validate() {
+        obs.add(names::FRAMES_CORRUPT, 1);
+        ctx.flight.record("batch_invalid", message.clone());
+        refuse(conn, message);
+        return Next::Abandon;
+    }
+    // A durable stream is sequence-checked: a re-sent prefix the checker
+    // already holds is skipped (redelivery after a resume is
+    // idempotent), while a hole cannot be stitched.
+    let mut skip = 0usize;
+    if ctx.durable {
+        if batch.first_seq > ctx.events {
+            let message =
+                format!("event gap: expected seq {}, got {}", ctx.events, batch.first_seq);
+            ctx.flight.record("gap", message.clone());
+            refuse(conn, message);
+            return Next::Abandon;
+        }
+        skip = ((ctx.events - batch.first_seq) as usize).min(batch.len());
+        if skip > 0 {
+            obs.add(names::EVENTS_DUPLICATE, skip as u64);
+        }
+    }
+    if skip == batch.len() {
+        return Next::Continue;
+    }
+
+    // Push, then journal exactly what was pushed: a refused event ends
+    // the run, and the prefix before it is ingested like any other.
+    let events_before = ctx.events;
+    let evictions_before = ctx.checker.evictions;
+    let mut refused = None;
+    for i in skip..batch.len() {
+        let (rank, kind, loc) = batch.event(i);
+        if let Err(e) = ctx.checker.push(Rank(rank), kind.clone(), loc.clone()) {
+            refused = Some(e);
+            break;
+        }
+        ctx.events += 1;
+    }
+    let ingested = ctx.events - events_before;
+    if ingested > 0 {
+        ctx.pending_since.get_or_insert_with(Instant::now);
+        obs.add("serve_events_total", ingested);
+    }
+    if ctx.checker.evictions > evictions_before {
+        ctx.flight.record(
+            "evict",
+            format!(
+                "{} eviction(s) in batch at seq {}",
+                ctx.checker.evictions - evictions_before,
+                batch.first_seq
+            ),
+        );
+    }
+    if let Some(j) = ctx.journal.as_mut().filter(|_| ingested > 0) {
+        let appended = j.append_batch(&batch.slice(skip..skip + ingested as usize));
+        if let Err(e) = appended {
+            // Journal failure downgrades durability to in-memory
+            // parking; the stream continues.
+            logkv!(Warn, [("session", ctx.guard.id())], "journal write failed: {e}");
+            ctx.flight.record("journal_lost", e.to_string());
+            ctx.journal = None;
+        }
+    }
+    // Progress once per 256-event boundary crossed, and additionally on
+    // every ~1 MiB of buffered-byte growth — a flood of huge events must
+    // reach the accountant before it reaches the event-count cadence.
+    let buffered_bytes = ctx.checker.buffered_bytes();
+    if events_before / 256 != ctx.events / 256
+        || buffered_bytes.abs_diff(ctx.last_report_bytes) >= BYTES_REPORT_DELTA
+    {
+        ctx.last_report_bytes = buffered_bytes;
+        ctx.guard.report_progress(Progress::live(&ctx.checker, ctx.events, ctx.journal_bytes()));
+        ctx.flight.record("frame", format!("batch of {} at seq {}", batch.len(), batch.first_seq));
+    }
+    if let Some(e) = refused {
+        // A client feeding invalid events has no coherent stream left.
+        ctx.flight.record("push_error", e.to_string());
+        refuse(conn, e.to_string());
+        return Next::Abandon;
+    }
+
+    if cfg.quota_max_events > 0 && ctx.events > cfg.quota_max_events {
+        obs.add(names::QUOTA_EVICTIONS, 1);
+        return Next::Evict {
+            quota: "max-events",
+            limit: cfg.quota_max_events,
+            observed: ctx.events,
+        };
+    }
+    if cfg.quota_max_bytes > 0 && buffered_bytes > cfg.quota_max_bytes {
+        obs.add(names::QUOTA_EVICTIONS, 1);
+        return Next::Evict {
+            quota: "max-buffered-bytes",
+            limit: cfg.quota_max_bytes as u64,
+            observed: buffered_bytes as u64,
+        };
+    }
+    if ctx.durable && ctx.events - ctx.last_ack >= cfg.ack_interval {
+        ctx.sync_journal_for_ack(obs);
+        if !ctx.send_ack(conn, obs) {
+            return Next::Abandon;
+        }
+    }
+    throttle(ctx, registry, conn, cfg, ingested);
+    let buffered = ctx.checker.buffered();
+    if buffered >= cfg.soft_watermark {
+        obs.add("serve_backpressure_stalls_total", 1);
+        if !ctx.stalled {
+            ctx.stalled = true;
+            ctx.flight
+                .record("backpressure", format!("buffered {buffered} crossed soft watermark"));
+        }
+        thread::sleep(cfg.backpressure_pause);
+    } else if ctx.stalled {
+        ctx.stalled = false;
+        ctx.flight.record("backpressure", format!("cleared at {buffered}"));
+    }
+    Next::Continue
+}
+
+/// Ends a session on its client's `Finish`: builds the report, settles
+/// the registry, then delivers.
+fn complete(
+    mut ctx: SessionCtx,
+    registry: &Arc<Registry>,
+    conn: &mut impl Write,
+    cfg: &ServeConfig,
+) {
+    let obs = &cfg.recorder;
+    // Short sessions never reach the progress cadence; charge what the
+    // stream ended with before it is released.
+    ctx.guard.report_progress(Progress::live(&ctx.checker, ctx.events, ctx.journal_bytes()));
+    let report = conclude(ctx.checker, ctx.events, false);
+    if let Some(j) = ctx.journal.as_mut() {
+        // Mark completion in the journal before the report is retired
+        // and handed over.
+        let _ = j.append_finish();
+    }
+    obs.add("serve_sessions_completed_total", 1);
+    // The Report acknowledges everything still pending, so it closes
+    // the ingest→ack window for short sessions that never crossed the
+    // ack interval.
+    if let Some(since) = ctx.pending_since.take() {
+        obs.observe(names::INGEST_ACK_LATENCY_US, since.elapsed().as_micros() as u64);
+    }
+    logkv!(
+        Info,
+        [("session", ctx.guard.id())],
+        "completed: {} event(s), {} finding(s)",
+        ctx.events,
+        report.findings.len()
+    );
+    if deliver(ctx.guard, ctx.durable, &report, Outcome::Completed, registry, conn) {
+        // The journal has served its purpose; the in-memory retired
+        // report covers a redelivery race. An undelivered report keeps
+        // its journal so a daemon crash can still rebuild it.
+        if let Some(j) = ctx.journal.take() {
+            let _ = j.retire();
+        }
+    }
+}
+
+/// Settles a session whose report is built, then offers the report to
+/// its client; returns whether the client took it. The registry comes
+/// first: a client that reads its Report and immediately asks for STATS
+/// must not find its own session active. A durable session's report is
+/// retired for idempotent redelivery — a client that reconnects after
+/// its session completed (or salvaged) gets the report, not a `Gone`.
+fn deliver(
+    guard: SessionGuard,
+    durable: bool,
+    report: &SessionReport,
+    outcome: Outcome,
+    registry: &Registry,
+    conn: &mut impl Write,
+) -> bool {
+    guard.report_progress(Progress::settled(report));
+    let json = report.to_json();
+    if durable {
+        registry.retire_report(guard.id(), json.clone());
+    }
+    guard.finish(outcome);
+    send(conn, &Frame::Report { json })
+}
+
 /// Paces a session against its event-rate quota: consumes `n` tokens
 /// and, when over rate, stalls the connection thread for the deficit
 /// (the kernel socket buffer, and eventually the client, absorb the
-/// stall — same mechanism as backpressure). The first stalled frame of
-/// a crossing also tells a governance-aware client via `Throttled`;
-/// rate pacing never evicts.
+/// stall — same mechanism as backpressure). The first stall of a
+/// crossing also tells a governance-aware client via `Throttled`; rate
+/// pacing never evicts.
 fn throttle(
     ctx: &mut SessionCtx,
     registry: &Arc<Registry>,
@@ -1620,25 +1402,23 @@ fn throttle(
     n: u64,
 ) {
     let Some(bucket) = ctx.bucket.as_mut() else { return };
-    let stall = bucket.consume(n);
+    let (stall, crossed) = bucket.consume(Instant::now(), n);
     if stall.is_zero() {
-        ctx.throttle_notified = false;
         return;
     }
     cfg.recorder.add(names::THROTTLE_STALLS, 1);
-    if !ctx.throttle_notified {
-        ctx.throttle_notified = true;
+    if crossed {
         registry.note_throttled();
         ctx.flight.record(
             "throttle",
-            format!("rate quota {} ev/s crossed; stalling {}ms", bucket.rate, stall.as_millis()),
+            format!(
+                "rate quota {} ev/s crossed; stalling {}ms",
+                cfg.quota_event_rate,
+                stall.as_millis()
+            ),
         );
         if ctx.governance {
-            let _ = write_frame_with(
-                conn,
-                &Frame::Throttled { retry_after_ms: stall.as_millis() as u64 },
-                CodecKind::Json,
-            );
+            send(conn, &Frame::Throttled { retry_after_ms: stall.as_millis() as u64 });
         }
     }
     thread::sleep(stall);
@@ -1672,7 +1452,7 @@ fn quota_evict(
     } else {
         Frame::Error { message: format!("quota {quota} exceeded: {observed} over limit {limit}") }
     };
-    let _ = write_frame_with(conn, &notice, CodecKind::Json);
+    send(conn, &notice);
     salvage(ctx, registry, conn, cfg);
     // The peer may still have events in flight; dropping the socket with
     // unread data pending turns the close into an RST, which can destroy
@@ -1699,28 +1479,9 @@ fn drain_inbound(conn: &mut impl Read, allowance: Duration) {
     }
 }
 
-/// Ends a session whose connection is no longer usable: durable sessions
-/// park (awaiting a `Resume`), non-durable ones salvage.
-fn finish_abnormally(
-    ctx: SessionCtx,
-    registry: &Arc<Registry>,
-    conn: &mut impl Write,
-    cfg: &ServeConfig,
-) {
-    if ctx.durable && ctx.checker.is_some() {
-        park(ctx, &cfg.recorder);
-    } else {
-        salvage(ctx, registry, conn, cfg);
-    }
-}
-
 /// Parks a durable session: sync the journal, move the live checker into
 /// the registry, wait for a `Resume`.
 fn park(mut ctx: SessionCtx, obs: &RecorderHandle) {
-    let Some(checker) = ctx.checker.take() else {
-        ctx.guard.finish(Outcome::Salvaged);
-        return;
-    };
     if let Some(j) = ctx.journal.as_mut() {
         let t0 = Instant::now();
         let _ = j.sync_for_ack();
@@ -1731,7 +1492,7 @@ fn park(mut ctx: SessionCtx, obs: &RecorderHandle) {
     ctx.flight.record("park", format!("at seq {}", ctx.events));
     ctx.guard.park(ParkedSession {
         nprocs: ctx.nprocs,
-        checker,
+        checker: ctx.checker,
         expected_seq: ctx.events,
         journal: ctx.journal,
         progress: Progress::default(), // replaced by the registry's copy
@@ -1749,51 +1510,14 @@ fn salvage(
     conn: &mut impl Write,
     cfg: &ServeConfig,
 ) {
-    let obs = &cfg.recorder;
-    obs.add("serve_sessions_salvaged_total", 1);
+    cfg.recorder.add("serve_sessions_salvaged_total", 1);
     logkv!(Warn, [("session", ctx.guard.id())], "salvaged after {} event(s)", ctx.events);
     ctx.flight.record("salvage", format!("after {} event(s)", ctx.events));
     dump_flight(cfg, ctx.guard.id(), &ctx.flight);
     if let Some(j) = ctx.journal.take() {
         let _ = j.retire();
     }
-    let Some(c) = ctx.checker.take() else {
-        ctx.guard.finish(Outcome::Salvaged);
-        return;
-    };
-    let (regions_flushed, peak_buffered, evictions) =
-        (c.regions_flushed, c.peak_buffered, c.evictions);
-    let findings = c.finish_degraded();
-    let report = SessionReport {
-        schema_version: REPORT_SCHEMA_VERSION,
-        confidence: Confidence::Degraded,
-        findings,
-        events_ingested: ctx.events,
-        regions_flushed,
-        peak_buffered,
-        evictions,
-    };
-    ctx.guard.report_progress(Progress {
-        events: ctx.events,
-        buffered: 0,
-        buffered_bytes: 0,
-        journal_bytes: 0,
-        peak_buffered: report.peak_buffered,
-        regions_flushed: report.regions_flushed,
-        findings: report.findings.len(),
-        degraded: true,
-        recovered: false,
-    });
-    let json = report.to_json();
-    let id = ctx.guard.id();
-    if ctx.durable {
-        // A durable client that reconnects after its session salvaged
-        // still deserves the degraded report instead of a Gone.
-        registry.retire_report(id, json.clone());
-    }
-    // Settle the registry first (same reason as the completed path),
-    // then offer the report — the client is usually gone, and a failed
-    // write changes nothing.
-    ctx.guard.finish(Outcome::Salvaged);
-    let _ = write_frame_with(conn, &Frame::Report { json }, CodecKind::Json);
+    let report = conclude(ctx.checker, ctx.events, true);
+    // The client is usually gone, and a failed write changes nothing.
+    deliver(ctx.guard, ctx.durable, &report, Outcome::Salvaged, registry, conn);
 }

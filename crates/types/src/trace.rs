@@ -1,7 +1,7 @@
 //! Trace containers: the per-process event logs the Profiler writes and the
 //! DN-Analyzer reads.
 
-use crate::event::Event;
+use crate::event::{Event, EventKind};
 use crate::ids::Rank;
 use crate::loc::{LocId, SourceLoc};
 use serde::{Deserialize, Serialize};
@@ -103,6 +103,20 @@ impl Trace {
             p.events.iter().enumerate().map(move |(i, e)| (EventRef::new(Rank(r as u32), i), e))
         })
     }
+
+    /// Iterates over all events in *stream order*: ranks interleaved
+    /// round-robin (each rank's `k`-th event before any rank's `k+1`-th),
+    /// the order events would arrive from live instrumentation. Position
+    /// `i` of the iteration is the event a `mcc serve` session numbers
+    /// `seq == i`.
+    pub fn stream_order(&self) -> impl Iterator<Item = (Rank, EventKind, SourceLoc)> + '_ {
+        let rounds = self.procs.iter().map(ProcessTrace::len).max().unwrap_or(0);
+        (0..rounds).flat_map(move |k| {
+            self.procs.iter().enumerate().filter_map(move |(r, p)| {
+                p.events.get(k).map(|ev| (Rank(r as u32), ev.kind.clone(), p.loc(ev.loc)))
+            })
+        })
+    }
 }
 
 /// Builder used by tests and the trace readers to assemble traces by hand.
@@ -195,6 +209,28 @@ mod tests {
         let refs: Vec<EventRef> = t.iter_events().map(|(r, _)| r).collect();
         assert_eq!(refs.len(), 6);
         assert!(refs.contains(&EventRef::new(Rank(2), 1)));
+    }
+
+    #[test]
+    fn stream_order_interleaves_ranks_round_robin() {
+        // Uneven logs: rank 1 runs dry first, rank 2 is empty.
+        let mut b = TraceBuilder::new(3);
+        for addr in [0, 1, 2] {
+            b.push_at(Rank(0), EventKind::Load { addr, len: 1 }, SourceLoc::new("s.c", 7, "f"));
+        }
+        b.push(Rank(1), EventKind::Load { addr: 10, len: 1 });
+        let t = b.build();
+        let order: Vec<(u32, u64)> = t
+            .stream_order()
+            .map(|(rank, kind, _)| match kind {
+                EventKind::Load { addr, .. } => (rank.0, addr),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(order, vec![(0, 0), (1, 10), (0, 1), (0, 2)]);
+        let (_, _, loc) = t.stream_order().next().unwrap();
+        assert_eq!(loc.line, 7, "locations are resolved through the rank's table");
+        assert_eq!(Trace::new(2).stream_order().count(), 0);
     }
 
     #[test]

@@ -1264,21 +1264,8 @@ fn submit_demo_trace(trace: &Trace, addr: &str) -> ExitCode {
         }
     }
     let shipped = (|| {
-        let mut idx = vec![0usize; trace.nprocs()];
-        let mut remaining = trace.total_events();
-        while remaining > 0 {
-            for (r, i) in idx.iter_mut().enumerate() {
-                if *i < trace.procs[r].events.len() {
-                    let ev = &trace.procs[r].events[*i];
-                    writer.event(
-                        mc_checker::types::Rank(r as u32),
-                        ev.kind.clone(),
-                        trace.procs[r].loc(ev.loc),
-                    )?;
-                    *i += 1;
-                    remaining -= 1;
-                }
-            }
+        for (rank, kind, loc) in trace.stream_order() {
+            writer.event(rank, kind, loc)?;
         }
         writer.finish()
     })();

@@ -10,7 +10,7 @@ use mc_checker::apps::bugs::{self, trace_of};
 use mc_checker::core::streaming::StreamingChecker;
 use mc_checker::core::Confidence;
 use mc_checker::prelude::*;
-use mc_checker::serve::journal::{read_journal, FsyncPolicy, Journal};
+use mc_checker::serve::journal::{read_journal, FsyncPolicy, Journal, JournalRecord};
 use mc_checker::serve::proto::{write_frame_with, Frame, FrameReader, ProtoError, SessionOpts};
 use mc_checker::serve::CodecKind;
 use mc_checker::serve::{
@@ -352,6 +352,16 @@ fn daemon_restart_recovers_journal_and_report_matches_batch() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Journals `trace` in stream order the way daemons before the unified
+/// ingest path did — one `JournalRecord::Event` per event — so recovery
+/// stays pinned on the journals already on disk. Returns the event count.
+fn journal_per_event(j: &mut Journal, trace: &Trace) -> usize {
+    for (seq, (rank, kind, loc)) in trace.stream_order().enumerate() {
+        j.append(&JournalRecord::Event { seq: seq as u64, rank: rank.0, kind, loc }).unwrap();
+    }
+    trace.total_events()
+}
+
 /// A session whose journal finished before the crash is recovered as a
 /// retired report: a resume gets the full report without resending.
 #[test]
@@ -363,20 +373,7 @@ fn finished_journal_recovers_to_a_retired_report() {
     // Write a complete journal by hand — Open, every event, Finish.
     let opts = SessionOpts { durable: true, ..SessionOpts::default() };
     let mut j = Journal::create(&dir, 7, 2, &opts, 0, FsyncPolicy::Never).unwrap();
-    let mut seq = 0u64;
-    let mut idx = vec![0usize; trace.nprocs()];
-    let mut remaining = trace.total_events();
-    while remaining > 0 {
-        for (r, ix) in idx.iter_mut().enumerate() {
-            if *ix < trace.procs[r].events.len() {
-                let ev = &trace.procs[r].events[*ix];
-                j.append_event(seq, r as u32, &ev.kind, &trace.procs[r].loc(ev.loc)).unwrap();
-                seq += 1;
-                *ix += 1;
-                remaining -= 1;
-            }
-        }
-    }
+    journal_per_event(&mut j, &trace);
     j.append_finish().unwrap();
     drop(j);
 
@@ -440,23 +437,10 @@ fn written_journal(tag: &str) -> (PathBuf, PathBuf, usize) {
     let trace = trace_of(2, 5, bugs::adlb::buggy as BugBody);
     let opts = SessionOpts { durable: true, ..SessionOpts::default() };
     let mut j = Journal::create(&dir, 3, 2, &opts, 0, FsyncPolicy::Never).unwrap();
-    let mut seq = 0u64;
-    let mut idx = vec![0usize; trace.nprocs()];
-    let mut remaining = trace.total_events();
-    while remaining > 0 {
-        for (r, ix) in idx.iter_mut().enumerate() {
-            if *ix < trace.procs[r].events.len() {
-                let ev = &trace.procs[r].events[*ix];
-                j.append_event(seq, r as u32, &ev.kind, &trace.procs[r].loc(ev.loc)).unwrap();
-                seq += 1;
-                *ix += 1;
-                remaining -= 1;
-            }
-        }
-    }
+    let events = journal_per_event(&mut j, &trace);
     let path = j.path().to_path_buf();
     drop(j);
-    (dir, path, seq as usize)
+    (dir, path, events)
 }
 
 proptest! {

@@ -2,21 +2,26 @@
 //! survives both codecs unchanged, damaged binary input always comes
 //! back as a typed error (never a panic, never a silently wrong value),
 //! the daemon produces byte-identical reports whichever codec carried
-//! the events, and journals written by the JSON-only builds replay —
-//! including into `mcc serve --recover` — without any flag.
+//! the events — and whichever frame shape, a durable resume included —
+//! and journals written by the JSON-only builds replay — including into
+//! `mcc serve --recover` — without any flag.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mc_checker::apps::bugs::{self, trace_of};
 use mc_checker::codec::{decode_auto, encode_with, CodecKind};
+use mc_checker::obs::names;
 use mc_checker::prelude::*;
 use mc_checker::serve::client::{self, SubmitCfg};
-use mc_checker::serve::journal::{read_journal, JournalRecord};
+use mc_checker::serve::journal::{read_journal, FsyncPolicy, JournalRecord};
 use mc_checker::serve::proto::{
-    decode_frame, encode_frame_with, EventBatch, Frame, ProtoError, SessionOpts,
+    decode_frame, encode_frame_with, EventBatch, Frame, FrameReader, ProtoError, SessionOpts,
+    PROTOCOL_VERSION,
 };
-use mc_checker::serve::{ServeConfig, Server, ServerHandle};
+use mc_checker::serve::{ServeConfig, Server, ServerHandle, SessionReport};
 use mc_checker::types::{EventKind, SourceLoc};
 use proptest::prelude::*;
 
@@ -247,6 +252,171 @@ fn binary_client_falls_back_against_a_json_only_server() {
     assert_eq!(fallback_report.to_json(), json_report.to_json());
     handle.shutdown();
     join.join().expect("server thread");
+}
+
+// ---------------------------------------------------------------------------
+// One ingest path: every wire shape of the same stream is the same session
+// ---------------------------------------------------------------------------
+
+/// One way of putting an event stream on the wire.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// One `Event` frame per event, in this codec.
+    PerEvent(CodecKind),
+    /// Binary `Batch` frames of this many events (the last one short).
+    Batches(usize),
+}
+
+impl Shape {
+    /// Frames carrying `events[from..to]`, numbered from `from`.
+    fn frames(
+        self,
+        events: &[(u32, EventKind, SourceLoc)],
+        from: usize,
+        to: usize,
+    ) -> Vec<Vec<u8>> {
+        match self {
+            Shape::PerEvent(codec) => (from..to)
+                .map(|i| {
+                    let (rank, kind, loc) = events[i].clone();
+                    encode_frame_with(&Frame::Event { seq: i as u64, rank, kind, loc }, codec)
+                })
+                .collect(),
+            Shape::Batches(n) => (from..to)
+                .step_by(n)
+                .map(|start| {
+                    let mut b = EventBatch::new(start as u64);
+                    for (rank, kind, loc) in &events[start..(start + n).min(to)] {
+                        b.push(*rank, kind.clone(), loc);
+                    }
+                    encode_frame_with(&Frame::Batch(b), CodecKind::Binary)
+                })
+                .collect(),
+        }
+    }
+}
+
+fn connect(addr: &str) -> FrameReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+    FrameReader::new(stream)
+}
+
+fn send(reader: &mut FrameReader<TcpStream>, frames: &[Vec<u8>]) {
+    for bytes in frames {
+        reader.get_mut().write_all(bytes).expect("write frame");
+    }
+}
+
+/// Reads frames until one satisfies `want`, skipping the rest (the
+/// per-frame `Ack`s on the way to the one awaited).
+fn await_frame(reader: &mut FrameReader<TcpStream>, want: impl Fn(&Frame) -> bool) -> Frame {
+    let started = Instant::now();
+    loop {
+        match reader.next_frame() {
+            Ok(Some(f)) if want(&f) => return f,
+            Ok(Some(Frame::Ack { .. })) => {}
+            Ok(Some(other)) => panic!("unexpected frame {other:?}"),
+            Ok(None) => panic!("server closed the connection"),
+            Err(ProtoError::Idle) => {
+                assert!(started.elapsed() < Duration::from_secs(20), "awaited frame never came");
+            }
+            Err(e) => panic!("protocol error: {e}"),
+        }
+    }
+}
+
+/// The same trace streamed as per-event JSON, per-event binary, and
+/// binary batches of 1, 7 and 256 — each as a durable session that loses
+/// its connection two thirds in and resumes by re-sending from ten
+/// events *before* the acknowledged offset, so the duplicate prefix ends
+/// mid-batch for the multi-event shapes. Whatever the shape: the same
+/// report bytes, event count, duplicate count, and journaled events.
+#[test]
+fn every_wire_shape_is_the_same_session() {
+    let trace = trace_of(4, 0xdead, bugs::adlb::buggy);
+    let events = client::flatten_events(&trace);
+    let total = events.len();
+    let cut = total * 2 / 3;
+    let resend_from = cut - 10;
+    assert!(
+        !(cut - resend_from).is_multiple_of(7) && total - resend_from > 7,
+        "prefix must end mid-batch"
+    );
+
+    let shapes = [
+        ("per-event json", Shape::PerEvent(CodecKind::Json)),
+        ("per-event binary", Shape::PerEvent(CodecKind::Binary)),
+        ("batches of 1", Shape::Batches(1)),
+        ("batches of 7", Shape::Batches(7)),
+        ("batches of 256", Shape::Batches(256)),
+    ];
+    let mut outcomes = Vec::new();
+    for (name, shape) in shapes {
+        let dir = std::env::temp_dir().join(format!(
+            "mcc-shapes-{}-{}",
+            std::process::id(),
+            name.replace(' ', "-")
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        // An Ack per ingested frame, so the test can wait for "all of
+        // this leg is journaled" instead of sleeping.
+        let cfg = ServeConfig {
+            journal_dir: Some(dir.clone()),
+            fsync: FsyncPolicy::Never,
+            ack_interval: 1,
+            ..ServeConfig::default()
+        };
+        let recorder = cfg.recorder.clone();
+        let (addr, handle, join) = start_server(cfg);
+
+        // First leg: events [0, cut), then the client dies.
+        let mut reader = connect(&addr);
+        let opts = SessionOpts { durable: true, ..SessionOpts::default() };
+        let hello = Frame::Hello { version: PROTOCOL_VERSION, nprocs: 4, opts };
+        send(&mut reader, &[encode_frame_with(&hello, CodecKind::Json)]);
+        let welcome = await_frame(&mut reader, |f| matches!(f, Frame::Welcome { .. }));
+        let Frame::Welcome { session, .. } = welcome else { unreachable!() };
+        send(&mut reader, &shape.frames(&events, 0, cut));
+        await_frame(&mut reader, |f| *f == Frame::Ack { through: cut as u64 });
+        drop(reader);
+
+        // Second leg: resume and re-send from before the offset.
+        let mut reader = connect(&addr);
+        let resume = Frame::Resume { session, from_seq: 0 };
+        send(&mut reader, &[encode_frame_with(&resume, CodecKind::Json)]);
+        await_frame(&mut reader, |f| matches!(f, Frame::Welcome { .. }));
+        await_frame(&mut reader, |f| *f == Frame::Ack { through: cut as u64 });
+        send(&mut reader, &shape.frames(&events, resend_from, total));
+        await_frame(&mut reader, |f| *f == Frame::Ack { through: total as u64 });
+        let journaled = read_journal(&dir.join(format!("session-{session}.mccj")))
+            .unwrap_or_else(|e| panic!("{name}: journal unreadable: {e}"));
+        assert!(!journaled.torn && !journaled.finished, "{name}");
+        send(&mut reader, &[encode_frame_with(&Frame::Finish, CodecKind::Json)]);
+        let report = await_frame(&mut reader, |f| matches!(f, Frame::Report { .. }));
+        let Frame::Report { json } = report else { unreachable!() };
+
+        let ingested = SessionReport::from_json(&json).expect("report parses").events_ingested;
+        let duplicates =
+            recorder.snapshot().counters.get(names::EVENTS_DUPLICATE).copied().unwrap_or(0);
+        outcomes.push((name, json, ingested, duplicates, journaled.events));
+        handle.shutdown();
+        join.join().expect("server thread");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    let stream: Vec<_> = events
+        .iter()
+        .enumerate()
+        .map(|(i, (rank, kind, loc))| (i as u64, *rank, kind.clone(), loc.clone()))
+        .collect();
+    let reference = outcomes[0].1.clone();
+    for (name, json, ingested, duplicates, journaled) in outcomes {
+        assert_eq!(json, reference, "{name}: report bytes differ from per-event json");
+        assert_eq!(ingested, total as u64, "{name}");
+        assert_eq!(duplicates, (cut - resend_from) as u64, "{name}");
+        assert_eq!(journaled, stream, "{name}: journal must hold the stream exactly once");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -273,24 +273,29 @@ fn trace_context_links_daemon_session_to_client_span() {
     assert_eq!(report.confidence, Confidence::Complete);
 
     let trace_id = client_obs.trace_id().expect("the client must have stamped a trace id");
-    let submit = client_obs
+    // Tests that do not swap the recorder still read the global one: a
+    // submit of theirs that overlaps this window leaves a
+    // `client.submit` span here too. This daemon saw only our session,
+    // so its link must name one of them — ours.
+    let links: Vec<String> = client_obs
         .spans()
         .into_iter()
-        .find(|s| s.name == "client.submit")
-        .expect("the client records a client.submit span");
+        .filter(|s| s.name == "client.submit")
+        .map(|s| format!("\"remoteTrace\":{trace_id},\"remoteParent\":{}", s.id))
+        .collect();
+    assert!(!links.is_empty(), "the client records a client.submit span");
 
     handle.shutdown();
     join.join().unwrap();
 
     let daemon_trace = server_obs.to_chrome_trace();
-    let link = format!("\"remoteTrace\":{trace_id},\"remoteParent\":{}", submit.id);
     assert!(
         daemon_trace.contains("\"name\":\"serve.session\""),
         "daemon trace must contain the session span: {daemon_trace}"
     );
     assert!(
-        daemon_trace.contains(&link),
-        "daemon trace must carry the remote link `{link}`: {daemon_trace}"
+        links.iter().any(|link| daemon_trace.contains(link)),
+        "daemon trace must carry one of the remote links {links:?}: {daemon_trace}"
     );
 }
 
