@@ -553,6 +553,7 @@ impl StreamingChecker {
             peak_buffered_bytes: sc.peak_buffered_bytes,
             total_events: trace.total_events(),
             evictions: sc.evictions,
+            confidence: sc.confidence(),
         };
         (sc.finish(), stats)
     }
@@ -586,6 +587,10 @@ pub struct StreamingStats {
     pub total_events: usize,
     /// Partial regions force-analyzed at the high watermark.
     pub evictions: usize,
+    /// The run's overall verdict class ([`StreamingChecker::confidence`]
+    /// once the last event was pushed) — with "any error finding?", the
+    /// two inputs of the exit-code contract.
+    pub confidence: Confidence,
 }
 
 #[cfg(test)]

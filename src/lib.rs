@@ -58,12 +58,11 @@
 //! ```
 
 /// The CLI's exit-code contract, shared by `mcc check`, `mcc demo`,
-/// `mcc explore` and `mcc submit`. The `mcc` usage text prints this
-/// table verbatim, the
-/// README quotes it, and `tests/recovery_pipeline.rs` asserts all three
-/// stay in sync with [`exit_code_for`].
-pub const EXIT_CODE_TABLE: &str = "\
-  0  complete analysis, no errors
+/// `mcc explore` and `mcc submit`. `mcc help` ([`cli::reference`]) ends
+/// with this table, the README quotes that reference, and
+/// `tests/recovery_pipeline.rs` asserts all three stay in sync with
+/// [`exit_code_for`]; `tests/cli.rs` drives the binary through every code.
+pub const EXIT_CODE_TABLE: &str = "  0  complete analysis, no errors
   1  complete analysis, errors found
   2  usage or I/O error
   3  degraded analysis, errors found
@@ -85,6 +84,8 @@ pub fn exit_code_for(confidence: mcc_core::report::Confidence, has_errors: bool)
         (Confidence::Recovered, false) => 6,
     }
 }
+
+pub mod cli;
 
 pub use mcc_apps as apps;
 pub use mcc_codec as codec;
