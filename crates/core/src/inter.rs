@@ -6,12 +6,21 @@
 //! can occur *only in the window buffers at target processes*. The engine
 //! therefore shards the region's accesses by `(region, window, target
 //! rank)` — one shard per contended window instance — and within each
-//! shard replaces the pairwise footprint scan with a sort-and-sweep over
-//! byte-interval endpoints ([`crate::regions::IntervalIndex`]), so a shard
-//! with n accesses and k overlapping pairs costs O(n log n + k). The only
-//! pairs that conflict *without* overlapping bytes are local stores
-//! against remote `Put`/`Accumulate` (the MPI-2.2 separation rule); those
-//! are enumerated directly from the shard's two (small) class groups.
+//! shard replaces the pairwise footprint scan with a class-aware
+//! sort-and-sweep over byte-interval endpoints
+//! ([`crate::regions::IntervalIndex`]). Table I cannot flag two accesses
+//! that only read the window (`Load`, `MPI_Get`: every combination is
+//! `BOTH`) nor two of the owner's own loads and stores, so each access
+//! enters the index with a [`Touch`] saying whether it is a *reader* and
+//! whether it is *local*, and the sweep never pairs two readers or two
+//! locals: a shard with n accesses costs O(n log n + k_w), k_w being the
+//! overlapping pairs in which at least one side updates the window and
+//! at least one is a one-sided operation — however many readers share a
+//! hot location. `interval_pairs_total` counts those k_w pairs, the ones
+//! handed to the Table-I check. The only pairs that conflict *without*
+//! overlapping bytes are local stores against remote `Put`/`Accumulate`
+//! (the MPI-2.2 separation rule); those are enumerated directly from the
+//! shard's two (small) class groups.
 //!
 //! Shards are mutually independent, so [`crate::session::AnalysisSession`]
 //! runs them on a thread pool; each shard carries its own memoized
@@ -26,7 +35,7 @@
 use crate::dag::Dag;
 use crate::epoch::{EpochKind, Epochs};
 use crate::preprocess::Ctx;
-use crate::regions::{IntervalIndex, Regions};
+use crate::regions::{IntervalIndex, Regions, Touch};
 use crate::report::{Confidence, ConsistencyError, ErrorScope, OpInfo, Severity};
 use crate::vc::{Clocks, ReachCache};
 use mcc_obs::RecorderHandle;
@@ -85,9 +94,9 @@ fn op_lock_kind(epochs: &Epochs, ev: EventRef) -> Option<LockKind> {
 /// Severity demotion: a conflict where every involved RMA epoch holds an
 /// exclusive lock may be serialized by the runtime — report a warning, as
 /// the paper does for the original lockopts bug (§VII-A2).
-fn severity(locks: &[Option<LockKind>]) -> Severity {
-    let rma_epochs: Vec<LockKind> = locks.iter().filter_map(|l| *l).collect();
-    if !rma_epochs.is_empty() && rma_epochs.iter().all(|&l| l == LockKind::Exclusive) {
+fn severity(a: Option<LockKind>, b: Option<LockKind>) -> Severity {
+    let mut rma_epochs = a.into_iter().chain(b).peekable();
+    if rma_epochs.peek().is_some() && rma_epochs.all(|l| l == LockKind::Exclusive) {
         Severity::Warning
     } else {
         Severity::Error
@@ -200,7 +209,7 @@ fn make_error(
         }
     };
     ConsistencyError {
-        severity: severity(&[a.lock, b.lock]),
+        severity: severity(a.lock, b.lock),
         scope: ErrorScope::CrossProcess { win, target },
         confidence: Confidence::Complete,
         a: OpInfo::from_trace(trace, a.ev, Some(a.map.bounding_region_at(0))).with_epoch(a.epoch),
@@ -232,22 +241,21 @@ pub(crate) fn detect_shard(
     let mut interval_pairs = 0u64;
     let mut separation_pairs = 0u64;
 
-    // Pass 1: sort-and-sweep for pairs with overlapping bytes. Item ids
-    // follow `(rank, event index)` order, so pair orientation is stable.
+    // Pass 1: sort-and-sweep for pairs with overlapping bytes of which
+    // at least one side updates the window and at most one is the
+    // owner's own access. Item ids follow `(rank, event index)` order, so
+    // pair orientation is stable.
     let mut index = IntervalIndex::new();
     for (i, item) in shard.items.iter().enumerate() {
+        let touch =
+            Touch { reader: item.class.category.is_window_read(), local: item.local.is_some() };
         for seg in item.map.segments() {
-            index.insert(i as u32, seg.disp, seg.end());
+            index.insert(i as u32, seg.disp, seg.end(), touch);
         }
     }
     for (i, j) in index.overlapping_pairs() {
         interval_pairs += 1;
         let (a, b) = (&shard.items[i as usize], &shard.items[j as usize]);
-        if a.local.is_some() && b.local.is_some() {
-            // Two local accesses by the window owner are program-ordered
-            // (or, at least, not this detector's error class).
-            continue;
-        }
         if compat(a.class, b.class) == Compatibility::Error {
             continue; // handled by the separation pass below
         }

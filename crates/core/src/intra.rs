@@ -16,11 +16,30 @@
 //! completes at the wait, so later accesses in the same epoch are ordered
 //! after it; flushes split passive epochs into sub-epochs upstream (in
 //! [`crate::epoch`]), so cross-flush pairs never reach this detector.
+//!
+//! # Candidate pairs
+//!
+//! Every rule above needs two accesses that share a byte, at least one of
+//! which updates it and at least one of which is a pending operation: two
+//! operations at one target never fall under the separation rule (that
+//! needs a CPU store), two reads of a local buffer never race, and the
+//! rank's own loads and stores are program-ordered. So instead of
+//! visiting all pairs of an epoch, the detector takes its candidates
+//! from [`IntervalIndex`] sweeps — one over the rank's own address space
+//! (an op's `reads` are readers, its `writes` writers, a load a local
+//! reader, a store a local writer) and one per `(window, target)` over
+//! the target footprints (`MPI_Get` is the reader) — for
+//! O(n log n + k_w) per epoch, k_w being the overlaps that involve a
+//! writer and an op. The sweeps only *filter*: each candidate goes
+//! through the exact predicates, and candidates are visited in the order
+//! the all-pairs loops used, so the findings and their order are those of
+//! the all-pairs scan (the tests drive both through one pair body).
 
 use crate::epoch::Epoch;
 #[cfg(test)]
 use crate::epoch::Epochs;
 use crate::preprocess::{Ctx, ResolvedAccess};
+use crate::regions::{IntervalIndex, Touch};
 use crate::report::{Confidence, ConsistencyError, ErrorScope, OpInfo, Severity};
 use mcc_types::{compat, conflicts, ConflictKind, EventKind, EventRef, MemRegion, Trace};
 use std::collections::HashSet;
@@ -38,6 +57,13 @@ impl ResolvedOp {
     fn completed_before(&self, other_idx: usize) -> bool {
         self.close.is_some_and(|c| other_idx > c.idx)
     }
+}
+
+/// A CPU load or store inside the epoch span.
+struct LocalAccess {
+    ev: EventRef,
+    is_store: bool,
+    region: MemRegion,
 }
 
 /// Scans every epoch for conflicting pairs — the reference the unit
@@ -85,110 +111,215 @@ pub(crate) fn check_epoch_raw(
     epoch: &Epoch,
     epoch_idx: u32,
 ) -> Vec<ConsistencyError> {
-    let mut out = Vec::new();
-    let ops: Vec<ResolvedOp> = epoch
-        .ops
-        .iter()
-        .map(|&ev| {
-            let ra = ctx
-                .resolve_rma_event(ev.rank, &trace.event(ev).kind)
-                .expect("epoch ops are RMA events");
-            ResolvedOp { ev, ra, close: epoch.op_close.get(&ev).copied() }
-        })
-        .collect();
+    let scan = EpochScan::new(trace, ctx, epoch, epoch_idx);
+    scan.check(&scan.sweep_candidates())
+}
 
-    let mut push = |e: ConsistencyError| out.push(e);
+/// One epoch resolved for pairwise checking. Items are numbered ops first
+/// (issue order), then the epoch's local accesses (program order).
+struct EpochScan<'a> {
+    trace: &'a Trace,
+    epoch: &'a Epoch,
+    epoch_idx: u32,
+    ops: Vec<ResolvedOp>,
+}
 
-    // Operation pairs within the epoch. Pairs where one op completed
-    // (early wait) before the other was issued are program-ordered.
-    for i in 0..ops.len() {
-        for j in (i + 1)..ops.len() {
-            let (a, b) = (&ops[i], &ops[j]);
-            debug_assert!(a.ev.idx < b.ev.idx, "epoch ops are in issue order");
-            if a.completed_before(b.ev.idx) {
-                continue;
-            }
-            // Origin-buffer side (both buffers live at this rank).
-            if a.ra.origin_conflicts_with(&b.ra) {
-                push(ConsistencyError {
-                    severity: Severity::Error,
-                    scope: ErrorScope::IntraEpoch { rank: epoch.rank, win: epoch.win },
-                    confidence: Confidence::Complete,
-                    a: op_info(trace, a, true).with_epoch(Some(epoch_idx)),
-                    b: op_info(trace, b, true).with_epoch(Some(epoch_idx)),
-                    kind: ConflictKind::OverlapViolation,
-                    explanation: format!(
-                        "both operations access the same local buffer while nonblocking \
-                             and unordered within the epoch (at least one updates it); \
-                             the result is undefined until the epoch closes at {}",
-                        close_desc(trace, epoch)
-                    ),
-                });
-            }
-            // Target-window side.
-            if a.ra.target_abs == b.ra.target_abs && a.ra.win == b.ra.win {
-                let overlap = a.ra.target_map.overlaps_at(0, &b.ra.target_map, 0);
-                if let Some(kind) = conflicts(a.ra.class, b.ra.class, overlap) {
-                    push(ConsistencyError {
-                        severity: Severity::Error,
-                        scope: ErrorScope::IntraEpoch { rank: epoch.rank, win: epoch.win },
-                        confidence: Confidence::Complete,
-                        a: op_info(trace, a, false).with_epoch(Some(epoch_idx)),
-                        b: op_info(trace, b, false).with_epoch(Some(epoch_idx)),
-                        kind,
-                        explanation: format!(
-                            "unordered {} and {} update overlapping window memory at target \
-                                 {} within one epoch (Table I: {})",
-                            a.ra.class,
-                            b.ra.class,
-                            a.ra.target_abs,
-                            compat(a.ra.class, b.ra.class)
-                        ),
-                    });
+impl<'a> EpochScan<'a> {
+    fn new(trace: &'a Trace, ctx: &Ctx, epoch: &'a Epoch, epoch_idx: u32) -> Self {
+        let ops = epoch
+            .ops
+            .iter()
+            .map(|&ev| {
+                let ra = ctx
+                    .resolve_rma_event(ev.rank, &trace.event(ev).kind)
+                    .expect("epoch ops are RMA events");
+                ResolvedOp { ev, ra, close: epoch.op_close.get(&ev).copied() }
+            })
+            .collect();
+        Self { trace, epoch, epoch_idx, ops }
+    }
+
+    /// The epoch's `k`-th local access (item `ops.len() + k`).
+    fn local(&self, k: usize) -> Option<LocalAccess> {
+        let ev = self.epoch.locals[k];
+        let (is_store, addr, len) = match self.trace.event(ev).kind {
+            EventKind::Load { addr, len } => (false, addr, len),
+            EventKind::Store { addr, len } => (true, addr, len),
+            _ => return None,
+        };
+        Some(LocalAccess { ev, is_store, region: MemRegion::new(addr, len) })
+    }
+
+    /// The item pairs that share a byte at least one of them updates, in
+    /// the origin rank's memory or in one target's window: a superset of
+    /// the pairs [`EpochScan::check`] can flag, sorted.
+    fn sweep_candidates(&self) -> Vec<(u32, u32)> {
+        let nops = self.ops.len();
+        let mut origin = IntervalIndex::new();
+        for (i, op) in self.ops.iter().enumerate() {
+            for (map, reader) in [(&op.ra.reads, true), (&op.ra.writes, false)] {
+                for seg in map.segments() {
+                    origin.insert(i as u32, seg.disp, seg.end(), Touch { reader, local: false });
                 }
             }
         }
-    }
+        // A load or store can only race with an op issued before it, so it
+        // enters the sweep only if it lies within the span of those ops'
+        // local effects. The rest is left out unsorted: an epoch that
+        // computes on a thousand addresses and then issues one op stays
+        // O(n).
+        let (mut issued, mut lo, mut hi) = (0, u64::MAX, 0);
+        for (k, ev) in self.epoch.locals.iter().enumerate() {
+            while issued < nops && self.ops[issued].ev.idx < ev.idx {
+                let ra = &self.ops[issued].ra;
+                for span in [&ra.reads, &ra.writes].map(|map| map.bounding_region_at(0)) {
+                    if !span.is_empty() {
+                        (lo, hi) = (lo.min(span.base), hi.max(span.end()));
+                    }
+                }
+                issued += 1;
+            }
+            if issued == 0 {
+                continue; // before every op: not even worth resolving
+            }
+            let Some(acc) = self.local(k) else { continue };
+            if acc.region.base < hi && lo < acc.region.end() {
+                let touch = Touch { reader: !acc.is_store, local: true };
+                origin.insert((nops + k) as u32, acc.region.base, acc.region.end(), touch);
+            }
+        }
+        let mut pairs = origin.overlapping_pairs();
 
-    // Operation vs. local access: only accesses between issue and the
-    // op's completion (early wait, else epoch close).
-    for op in &ops {
-        for &acc in &epoch.locals {
-            if acc.idx <= op.ev.idx || op.completed_before(acc.idx) {
+        let target_of =
+            |&i: &u32| (self.ops[i as usize].ra.win, self.ops[i as usize].ra.target_abs);
+        let mut by_target: Vec<u32> = (0..nops as u32).collect();
+        by_target.sort_unstable_by_key(target_of);
+        for group in by_target.chunk_by(|a, b| target_of(a) == target_of(b)) {
+            if group.len() < 2 {
                 continue;
             }
-            let (is_store, addr, len) = match trace.event(acc).kind {
-                EventKind::Load { addr, len } => (false, addr, len),
-                EventKind::Store { addr, len } => (true, addr, len),
-                _ => continue,
-            };
-            let region = MemRegion::new(addr, len);
-            if op.ra.origin_conflicts_with_access(is_store, region) {
-                let effect = if op.ra.writes.overlaps_region_at(0, region) {
-                    "writes local memory at an undefined time before it completes"
-                } else {
-                    "reads its local buffer at an undefined time before it completes"
-                };
-                push(ConsistencyError {
+            let mut window = IntervalIndex::new();
+            for &i in group {
+                let ra = &self.ops[i as usize].ra;
+                let touch = Touch { reader: ra.class.category.is_window_read(), local: false };
+                for seg in ra.target_map.segments() {
+                    window.insert(i, seg.disp, seg.end(), touch);
+                }
+            }
+            pairs.extend(window.overlapping_pairs());
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    }
+
+    /// Every item pair — the all-pairs scan the sweeps replaced, kept as
+    /// the oracle of the differential test.
+    #[cfg(test)]
+    fn all_pairs(&self) -> Vec<(u32, u32)> {
+        let n = (self.ops.len() + self.epoch.locals.len()) as u32;
+        (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j))).collect()
+    }
+
+    /// Runs the exact checks over sorted candidate pairs: all op/op pairs
+    /// first, then all op/local pairs — the order of the all-pairs loops,
+    /// so the first occurrence of each source-level finding (the one the
+    /// per-epoch dedup keeps) does not depend on the candidate source.
+    fn check(&self, candidates: &[(u32, u32)]) -> Vec<ConsistencyError> {
+        let nops = self.ops.len();
+        let mut out = Vec::new();
+        let pairs = || candidates.iter().map(|&(i, j)| (i as usize, j as usize));
+        for (i, j) in pairs().filter(|&(_, j)| j < nops) {
+            self.check_ops(&self.ops[i], &self.ops[j], &mut out);
+        }
+        for (i, j) in pairs().filter(|&(i, j)| i < nops && j >= nops) {
+            if let Some(acc) = self.local(j - nops) {
+                self.check_local(&self.ops[i], &acc, &mut out);
+            }
+        }
+        out
+    }
+
+    /// Two operations of the epoch. A pair where one op completed (early
+    /// wait) before the other was issued is program-ordered.
+    fn check_ops(&self, a: &ResolvedOp, b: &ResolvedOp, out: &mut Vec<ConsistencyError>) {
+        let (trace, epoch, epoch_idx) = (self.trace, self.epoch, self.epoch_idx);
+        debug_assert!(a.ev.idx < b.ev.idx, "epoch ops are in issue order");
+        if a.completed_before(b.ev.idx) {
+            return;
+        }
+        // Origin-buffer side (both buffers live at this rank).
+        if a.ra.origin_conflicts_with(&b.ra) {
+            out.push(ConsistencyError {
+                severity: Severity::Error,
+                scope: ErrorScope::IntraEpoch { rank: epoch.rank, win: epoch.win },
+                confidence: Confidence::Complete,
+                a: op_info(trace, a, true).with_epoch(Some(epoch_idx)),
+                b: op_info(trace, b, true).with_epoch(Some(epoch_idx)),
+                kind: ConflictKind::OverlapViolation,
+                explanation: format!(
+                    "both operations access the same local buffer while nonblocking \
+                     and unordered within the epoch (at least one updates it); \
+                     the result is undefined until the epoch closes at {}",
+                    close_desc(trace, epoch)
+                ),
+            });
+        }
+        // Target-window side.
+        if a.ra.target_abs == b.ra.target_abs && a.ra.win == b.ra.win {
+            let overlap = a.ra.target_map.overlaps_at(0, &b.ra.target_map, 0);
+            if let Some(kind) = conflicts(a.ra.class, b.ra.class, overlap) {
+                out.push(ConsistencyError {
                     severity: Severity::Error,
                     scope: ErrorScope::IntraEpoch { rank: epoch.rank, win: epoch.win },
                     confidence: Confidence::Complete,
-                    a: op_info(trace, op, true).with_epoch(Some(epoch_idx)),
-                    b: OpInfo::from_trace(trace, acc, Some(region)),
-                    kind: ConflictKind::OverlapViolation,
+                    a: op_info(trace, a, false).with_epoch(Some(epoch_idx)),
+                    b: op_info(trace, b, false).with_epoch(Some(epoch_idx)),
+                    kind,
                     explanation: format!(
-                        "the nonblocking {} {}; the {} of the same memory races with it \
-                             (close: {})",
-                        trace.event(op.ev).kind.call_name(),
-                        effect,
-                        if is_store { "store" } else { "load" },
-                        close_desc(trace, epoch),
+                        "unordered {} and {} update overlapping window memory at target \
+                         {} within one epoch (Table I: {})",
+                        a.ra.class,
+                        b.ra.class,
+                        a.ra.target_abs,
+                        compat(a.ra.class, b.ra.class)
                     ),
                 });
             }
         }
     }
-    out
+
+    /// An operation vs. a local access: only accesses between issue and
+    /// the op's completion (early wait, else epoch close) can race.
+    fn check_local(&self, op: &ResolvedOp, acc: &LocalAccess, out: &mut Vec<ConsistencyError>) {
+        let (trace, epoch) = (self.trace, self.epoch);
+        if acc.ev.idx <= op.ev.idx || op.completed_before(acc.ev.idx) {
+            return;
+        }
+        if op.ra.origin_conflicts_with_access(acc.is_store, acc.region) {
+            let effect = if op.ra.writes.overlaps_region_at(0, acc.region) {
+                "writes local memory at an undefined time before it completes"
+            } else {
+                "reads its local buffer at an undefined time before it completes"
+            };
+            out.push(ConsistencyError {
+                severity: Severity::Error,
+                scope: ErrorScope::IntraEpoch { rank: epoch.rank, win: epoch.win },
+                confidence: Confidence::Complete,
+                a: op_info(trace, op, true).with_epoch(Some(self.epoch_idx)),
+                b: OpInfo::from_trace(trace, acc.ev, Some(acc.region)),
+                kind: ConflictKind::OverlapViolation,
+                explanation: format!(
+                    "the nonblocking {} {}; the {} of the same memory races with it \
+                     (close: {})",
+                    trace.event(op.ev).kind.call_name(),
+                    effect,
+                    if acc.is_store { "store" } else { "load" },
+                    close_desc(trace, epoch),
+                ),
+            });
+        }
+    }
 }
 
 fn op_info(trace: &Trace, op: &ResolvedOp, origin_side: bool) -> OpInfo {
@@ -561,5 +692,127 @@ mod tests {
         let errors = run(&b.build());
         assert_eq!(errors.len(), 1);
         assert_eq!(errors[0].a.op, "MPI_Rput");
+    }
+
+    // ------------------------------------------------------------------
+    // The sweep filter against the all-pairs scan it replaced.
+    // ------------------------------------------------------------------
+
+    const VECTOR: DatatypeId = DatatypeId(40);
+
+    /// Rank 0's events between the opening and closing fences of two
+    /// windows: plain ops with contiguous and strided (multi-segment)
+    /// datatypes, MPI-3 atomics (which both read and write origin
+    /// memory), request-based ops some of which are waited early, and
+    /// loads/stores before and after the ops they may race with — all on
+    /// a handful of addresses, source lines, windows and targets so that
+    /// overlaps and dedup collisions are common.
+    fn random_epochs(seed: u64) -> Trace {
+        let mut x = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mut next = move |n: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        let mut b = TraceBuilder::new(3);
+        for r in 0..3u32 {
+            for w in 0..2u32 {
+                let base = 64 + 1024 * w as u64;
+                b.push(
+                    Rank(r),
+                    EventKind::WinCreate { win: WinId(w), base, len: 256, comm: CommId::WORLD },
+                );
+            }
+            b.push(
+                Rank(r),
+                EventKind::TypeVector {
+                    new: VECTOR,
+                    count: 3,
+                    blocklen: 1,
+                    stride: 2,
+                    elem: DatatypeId::INT,
+                },
+            );
+            for w in 0..2u32 {
+                b.push(Rank(r), EventKind::Fence { win: WinId(w) });
+            }
+        }
+        let mut pending: Vec<u64> = Vec::new();
+        for step in 0..(8 + next(40)) {
+            let addr = 4000 + 4 * next(10);
+            let dtype = |pick: u64| if pick == 0 { VECTOR } else { DatatypeId::INT };
+            let op = RmaOp {
+                kind: match next(4) {
+                    0 => RmaKind::Put,
+                    1 => RmaKind::Acc(ReduceOp::Sum),
+                    2 => RmaKind::Acc(ReduceOp::Prod),
+                    _ => RmaKind::Get,
+                },
+                win: WinId(next(2) as u32),
+                target: Rank(1 + next(2) as u32),
+                origin_addr: addr,
+                origin_count: 1 + next(2) as u32,
+                origin_dtype: dtype(next(3)),
+                target_disp: 4 * next(8),
+                target_count: 1 + next(2) as u32,
+                target_dtype: dtype(next(3)),
+            };
+            let kind = match next(10) {
+                0..=3 => EventKind::Rma(op),
+                4 => {
+                    pending.push(step);
+                    EventKind::RmaReq { op, req: step }
+                }
+                5 if !pending.is_empty() => EventKind::WaitReq {
+                    req: pending.swap_remove(next(pending.len() as u64) as usize),
+                },
+                5 | 6 => EventKind::RmaAtomic(AtomicOp {
+                    kind: match next(3) {
+                        0 => AtomicKind::FetchAndOp(ReduceOp::Sum),
+                        1 => AtomicKind::GetAccumulate(ReduceOp::Sum),
+                        _ => AtomicKind::CompareAndSwap,
+                    },
+                    win: op.win,
+                    target: op.target,
+                    origin_addr: addr,
+                    result_addr: 4000 + 4 * next(10),
+                    compare_addr: (next(2) == 0).then(|| 4000 + 4 * next(10)),
+                    count: 1,
+                    dtype: DatatypeId::INT,
+                    target_disp: op.target_disp,
+                }),
+                7 => EventKind::Load { addr, len: 4 + 4 * next(2) },
+                _ => EventKind::Store { addr, len: 4 + 4 * next(2) },
+            };
+            b.push_at(Rank(0), kind, SourceLoc::new("rand.c", 10 + next(6) as u32, "main"));
+        }
+        for r in 0..3u32 {
+            for w in 0..2u32 {
+                b.push(Rank(r), EventKind::Fence { win: WinId(w) });
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn sweep_candidates_reproduce_the_all_pairs_scan() {
+        let (mut findings, mut swept, mut all) = (0, 0, 0);
+        for seed in 0..400 {
+            let trace = random_epochs(seed);
+            let ctx = preprocess(&trace);
+            let eps = extract(&trace, &ctx);
+            for (i, epoch) in eps.epochs.iter().enumerate() {
+                let scan = EpochScan::new(&trace, &ctx, epoch, eps.ordinals[i]);
+                let (candidates, oracle) = (scan.sweep_candidates(), scan.all_pairs());
+                let found = scan.check(&candidates);
+                // Element for element, in order: the same findings and the
+                // same first occurrence for every dedup key.
+                assert_eq!(found, scan.check(&oracle), "seed {seed}, epoch {i}");
+                findings += found.len();
+                swept += candidates.len();
+                all += oracle.len();
+            }
+        }
+        assert!(findings > 1000, "the generator must produce conflicts ({findings})");
+        assert!(swept < all / 2, "the sweep must filter ({swept} of {all} pairs)");
     }
 }

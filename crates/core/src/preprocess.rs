@@ -508,6 +508,33 @@ mod tests {
         assert_eq!(fp.basic, Some(DatatypeId::INT));
     }
 
+    /// The origin-side half of the sweep filter's soundness: the
+    /// intra-epoch detector marks an op's `reads` and local loads as
+    /// readers and never pairs two readers, so read/read must stay
+    /// conflict-free under both origin predicates.
+    #[test]
+    fn origin_reads_never_conflict_with_reads() {
+        let buf = DataMap::contiguous(8).shifted(500);
+        let pending = |reads: DataMap, writes: DataMap| ResolvedAccess {
+            win: WinId(0),
+            target_abs: Rank(1),
+            class: AccessClass::PUT,
+            target_map: DataMap::contiguous(8),
+            reads,
+            writes,
+        };
+        let reader = pending(buf.clone(), DataMap::empty());
+        let writer = pending(DataMap::empty(), buf.clone());
+        let region = buf.bounding_region_at(0);
+        assert!(!reader.origin_conflicts_with(&reader));
+        assert!(!reader.origin_conflicts_with_access(false, region));
+        // Every combination with a writer does conflict.
+        assert!(reader.origin_conflicts_with(&writer) && writer.origin_conflicts_with(&reader));
+        assert!(writer.origin_conflicts_with(&writer));
+        assert!(reader.origin_conflicts_with_access(true, region));
+        assert!(writer.origin_conflicts_with_access(false, region));
+    }
+
     #[test]
     #[should_panic(expected = "unknown datatype")]
     fn unknown_dtype_panics() {

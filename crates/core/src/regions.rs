@@ -15,9 +15,11 @@
 //! not the ordering oracle).
 
 //!
-//! This module also hosts the [`IntervalIndex`], the sort-and-sweep
-//! byte-interval index the parallel conflict engine uses to reduce each
-//! shard's pairwise access scan to O(n log n + k).
+//! This module also hosts the [`IntervalIndex`], the class-aware
+//! sort-and-sweep byte-interval index both detectors draw their candidate
+//! pairs from: O(n log n + k_w) for n intervals and k_w overlaps that
+//! involve a writer and at most one CPU access, instead of an all-pairs
+//! scan.
 
 use crate::matching::Matching;
 use mcc_types::{EventRef, Trace};
@@ -83,18 +85,58 @@ pub fn partition(trace: &Trace, matching: &Matching) -> Regions {
     Regions { count: bcount + 1, of }
 }
 
-/// A sort-and-sweep index over half-open byte intervals `[start, end)`.
+/// How an item touches the bytes of one interval — the two facts the
+/// sweep needs to skip the pairs no ruleset can flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Touch {
+    /// The item only reads these bytes.
+    pub reader: bool,
+    /// A CPU load or store by the rank that owns the memory, as opposed
+    /// to the effect of a one-sided operation.
+    pub local: bool,
+}
+
+impl Touch {
+    /// Every class, at the position [`Touch::class`] gives it.
+    const CLASSES: [Touch; 4] = [
+        Touch { reader: false, local: false },
+        Touch { reader: false, local: true },
+        Touch { reader: true, local: false },
+        Touch { reader: true, local: true },
+    ];
+
+    fn class(self) -> usize {
+        2 * self.reader as usize + self.local as usize
+    }
+
+    /// Whether a pair of overlapping intervals with these classes is a
+    /// candidate at all. Two readers are not: Table I marks every
+    /// `Load`/`Get` combination `BOTH`, and two pending reads of a local
+    /// buffer never race. Two local accesses are not: one rank's loads and
+    /// stores are program-ordered (Table I: `BOTH`).
+    fn pairs_with(self, other: Touch) -> bool {
+        !(self.reader && other.reader || self.local && other.local)
+    }
+}
+
+/// A class-aware sort-and-sweep index over half-open byte intervals
+/// `[start, end)`.
 ///
 /// Items (accesses) contribute one or more intervals (their data-map
-/// segments); [`IntervalIndex::overlapping_pairs`] then enumerates every
-/// pair of distinct items with at least one overlapping byte by sweeping
-/// the interval endpoints in sorted order. With n intervals and k
-/// overlapping pairs the sweep costs O(n log n + k) — replacing the
-/// quadratic all-pairs footprint comparison of the old detector.
+/// segments), each with a [`Touch`]. [`IntervalIndex::overlapping_pairs`]
+/// enumerates every pair of distinct items that share a byte through two
+/// intervals of which **at least one is a writer and at most one is
+/// local** — reader/reader and local/local overlaps are never produced,
+/// not produced and then discarded. The sweep keeps one list of open
+/// intervals per class and compares a new interval only with the lists
+/// it can pair with: a remote reader with the open writers, a local load
+/// with the open remote writers, and so on. With n intervals and k_w
+/// such overlaps the cost is O(n log n + k_w), however many readers
+/// share the bytes and however often the owner touches them itself.
 #[derive(Debug, Default)]
 pub struct IntervalIndex {
-    /// `(start, end, item)` triples; `end` is exclusive.
-    segs: Vec<(u64, u64, u32)>,
+    /// `(start, end, item, touch)` tuples; `end` is exclusive.
+    segs: Vec<(u64, u64, u32, Touch)>,
 }
 
 impl IntervalIndex {
@@ -104,9 +146,9 @@ impl IntervalIndex {
     }
 
     /// Adds one interval for `item`. Empty intervals are ignored.
-    pub fn insert(&mut self, item: u32, start: u64, end: u64) {
+    pub fn insert(&mut self, item: u32, start: u64, end: u64, touch: Touch) {
         if end > start {
-            self.segs.push((start, end, item));
+            self.segs.push((start, end, item, touch));
         }
     }
 
@@ -121,20 +163,31 @@ impl IntervalIndex {
     }
 
     /// All distinct item pairs `(lo, hi)` with `lo < hi` that share at
-    /// least one byte, sorted. Pairs of intervals belonging to the same
-    /// item are not reported.
+    /// least one byte through two intervals whose classes pair, sorted.
+    /// Pairs of intervals belonging to the same item are not reported.
     pub fn overlapping_pairs(&mut self) -> Vec<(u32, u32)> {
         self.segs.sort_unstable();
-        let mut active: Vec<(u64, u32)> = Vec::new(); // (end, item)
+        // Open `(end, item)` intervals per class. A list is expired only
+        // in the pass that scans it, so an interval that pairs with
+        // nothing open costs O(1).
+        let mut open: [Vec<(u64, u32)>; 4] = Default::default();
         let mut pairs = Vec::new();
-        for &(start, end, item) in &self.segs {
-            active.retain(|&(ae, _)| ae > start);
-            for &(_, other) in &active {
-                if other != item {
-                    pairs.push((other.min(item), other.max(item)));
+        for &(start, end, item, touch) in &self.segs {
+            for (class, list) in Touch::CLASSES.into_iter().zip(&mut open) {
+                if !touch.pairs_with(class) {
+                    continue;
                 }
+                list.retain(|&(open_end, other)| {
+                    if open_end <= start {
+                        return false;
+                    }
+                    if other != item {
+                        pairs.push((other.min(item), other.max(item)));
+                    }
+                    true
+                });
             }
-            active.push((end, item));
+            open[touch.class()].push((end, item));
         }
         pairs.sort_unstable();
         pairs.dedup();
@@ -221,60 +274,114 @@ mod tests {
         assert_eq!(r.count, 1);
     }
 
+    const RMA_WRITE: Touch = Touch { reader: false, local: false };
+    const RMA_READ: Touch = Touch { reader: true, local: false };
+    const STORE: Touch = Touch { reader: false, local: true };
+    const LOAD: Touch = Touch { reader: true, local: true };
+
     #[test]
     fn interval_index_basic_overlaps() {
         let mut idx = IntervalIndex::new();
-        idx.insert(0, 0, 4);
-        idx.insert(1, 2, 6); // overlaps 0
-        idx.insert(2, 4, 8); // touches 0 (no overlap), overlaps 1
-        idx.insert(3, 100, 104); // isolated
-        idx.insert(4, 0, 0); // empty, ignored
+        idx.insert(0, 0, 4, RMA_WRITE);
+        idx.insert(1, 2, 6, RMA_WRITE); // overlaps 0
+        idx.insert(2, 4, 8, RMA_WRITE); // touches 0 (no overlap), overlaps 1
+        idx.insert(3, 100, 104, RMA_WRITE); // isolated
+        idx.insert(4, 0, 0, RMA_WRITE); // empty, ignored
         assert_eq!(idx.len(), 4);
         assert_eq!(idx.overlapping_pairs(), vec![(0, 1), (1, 2)]);
+    }
+
+    #[test]
+    fn interval_index_readers_pair_only_with_writers() {
+        // Three readers and one writer on the same bytes: the writer pairs
+        // with every reader, the readers with nobody else — whether the
+        // writer's interval opens before, between or after theirs.
+        for writer_start in [0, 1, 3] {
+            let mut idx = IntervalIndex::new();
+            idx.insert(0, 0, 8, RMA_READ);
+            idx.insert(1, 1, 8, RMA_READ);
+            idx.insert(2, 2, 8, LOAD);
+            idx.insert(3, writer_start, 8, RMA_WRITE);
+            assert_eq!(idx.overlapping_pairs(), vec![(0, 3), (1, 3), (2, 3)]);
+        }
+        // An item that reads one range and writes another pairs through
+        // its writer interval only.
+        let mut idx = IntervalIndex::new();
+        idx.insert(0, 0, 4, RMA_READ);
+        idx.insert(0, 8, 12, RMA_WRITE);
+        idx.insert(1, 0, 4, RMA_READ);
+        idx.insert(2, 8, 12, RMA_READ);
+        assert_eq!(idx.overlapping_pairs(), vec![(0, 2)]);
+    }
+
+    #[test]
+    fn interval_index_locals_pair_only_with_remote_accesses() {
+        // The owner stores to and loads from bytes a remote read and a
+        // remote write also touch: store/store and store/load are not
+        // candidates, load/remote-read is reader/reader.
+        let mut idx = IntervalIndex::new();
+        idx.insert(0, 0, 8, STORE);
+        idx.insert(1, 0, 8, STORE);
+        idx.insert(2, 0, 8, LOAD);
+        idx.insert(3, 0, 8, RMA_READ);
+        idx.insert(4, 0, 8, RMA_WRITE);
+        assert_eq!(idx.overlapping_pairs(), vec![(0, 3), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)]);
     }
 
     #[test]
     fn interval_index_multi_segment_items_dedup() {
         let mut idx = IntervalIndex::new();
         // Item 0 has two segments, both overlapping item 1's span.
-        idx.insert(0, 0, 4);
-        idx.insert(0, 8, 12);
-        idx.insert(1, 0, 16);
+        idx.insert(0, 0, 4, RMA_WRITE);
+        idx.insert(0, 8, 12, RMA_WRITE);
+        idx.insert(1, 0, 16, RMA_READ);
         assert_eq!(idx.overlapping_pairs(), vec![(0, 1)], "pair reported once");
         // Self-overlap between an item's own segments is never a pair.
         let mut idx = IntervalIndex::new();
-        idx.insert(7, 0, 10);
-        idx.insert(7, 5, 15);
+        idx.insert(7, 0, 10, RMA_WRITE);
+        idx.insert(7, 5, 15, RMA_READ);
         assert!(idx.overlapping_pairs().is_empty());
     }
 
     #[test]
     fn interval_index_matches_naive_all_pairs() {
-        // Pseudo-random intervals; compare the sweep against the O(n²)
-        // definition.
-        let mut idx = IntervalIndex::new();
-        let mut items: Vec<(u64, u64, u32)> = Vec::new();
+        // Pseudo-random two-segment items (segments of one item may
+        // overlap each other) with a random class per segment; compare
+        // the sweep against the O(n²) definition: overlapping pairs of
+        // distinct items minus reader/reader and local/local.
         let mut x: u64 = 0x9e3779b97f4a7c15;
-        for item in 0..40u32 {
-            for _ in 0..2 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let start = x % 64;
-                let len = 1 + (x >> 8) % 8;
-                items.push((start, start + len, item));
-                idx.insert(item, start, start + len);
-            }
-        }
-        let mut naive: Vec<(u32, u32)> = Vec::new();
-        for i in 0..items.len() {
-            for j in (i + 1)..items.len() {
-                let (a, b) = (items[i], items[j]);
-                if a.2 != b.2 && a.0 < b.1 && b.0 < a.1 {
-                    naive.push((a.2.min(b.2), a.2.max(b.2)));
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 16
+        };
+        for round in 0..32 {
+            let mut idx = IntervalIndex::new();
+            let mut segs: Vec<(u64, u64, u32, Touch)> = Vec::new();
+            // Mostly-reader, balanced and mostly-writer populations.
+            let reader_pct = [90, 50, 10][round % 3];
+            for item in 0..40u32 {
+                for _ in 0..2 {
+                    let start = next() % 64;
+                    let len = 1 + next() % 8;
+                    let touch = Touch { reader: next() % 100 < reader_pct, local: next() % 3 == 0 };
+                    segs.push((start, start + len, item, touch));
+                    idx.insert(item, start, start + len, touch);
                 }
             }
+            let mut naive: Vec<(u32, u32)> = Vec::new();
+            for i in 0..segs.len() {
+                for j in (i + 1)..segs.len() {
+                    let (a, b) = (segs[i], segs[j]);
+                    let overlap = a.2 != b.2 && a.0 < b.1 && b.0 < a.1;
+                    if overlap && !(a.3.reader && b.3.reader || a.3.local && b.3.local) {
+                        naive.push((a.2.min(b.2), a.2.max(b.2)));
+                    }
+                }
+            }
+            naive.sort_unstable();
+            naive.dedup();
+            assert!(!naive.is_empty());
+            assert_eq!(idx.overlapping_pairs(), naive, "round {round}");
         }
-        naive.sort_unstable();
-        naive.dedup();
-        assert_eq!(idx.overlapping_pairs(), naive);
     }
 }

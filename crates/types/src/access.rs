@@ -54,6 +54,14 @@ impl AccessCategory {
     pub fn is_window_update(self) -> bool {
         matches!(self, AccessCategory::Store | AccessCategory::Put | AccessCategory::Acc)
     }
+
+    /// Whether the access only *reads* the target-side memory: the reader
+    /// class of the detectors' interval sweeps. Table I permits every
+    /// reader/reader combination (`BOTH`), so two readers are never even
+    /// enumerated as a candidate pair; `compat`'s tests pin that.
+    pub fn is_window_read(self) -> bool {
+        !self.is_window_update()
+    }
 }
 
 impl fmt::Display for AccessCategory {
@@ -121,6 +129,9 @@ mod tests {
         assert!(!AccessCategory::Get.is_window_update());
         assert!(AccessCategory::Put.is_window_update());
         assert!(AccessCategory::Acc.is_window_update());
+        assert!(AccessCategory::Load.is_window_read());
+        assert!(AccessCategory::Get.is_window_read());
+        assert!(!AccessCategory::Acc.is_window_read(), "read-modify-write is a writer");
     }
 
     #[test]

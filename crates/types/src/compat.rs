@@ -269,6 +269,58 @@ mod tests {
         assert_eq!(conflicts(sum_int, prod_int, false), None);
     }
 
+    /// Every category as a full class, with accumulate in each shape the
+    /// same-op exception distinguishes (`acc_op: None` is the CAS family).
+    fn all_classes() -> Vec<AccessClass> {
+        let cas = AccessClass {
+            category: AccessCategory::Acc,
+            acc_op: None,
+            acc_dtype: Some(DatatypeId::INT),
+        };
+        let mut classes = vec![
+            AccessClass::acc(ReduceOp::Sum, DatatypeId::INT),
+            AccessClass::acc(ReduceOp::Prod, DatatypeId::INT),
+            AccessClass::acc(ReduceOp::Sum, DatatypeId::DOUBLE),
+            AccessClass::acc(ReduceOp::Replace, DatatypeId::INT),
+            cas,
+        ];
+        classes.extend(
+            ALL_CATEGORIES
+                .into_iter()
+                .filter(|&c| c != AccessCategory::Acc)
+                .map(|category| AccessClass { category, acc_op: None, acc_dtype: None }),
+        );
+        classes
+    }
+
+    /// What the detectors' interval sweeps assume of Table I. They never
+    /// enumerate a pair of window readers nor a pair of CPU accesses, and
+    /// the intra-epoch detector never enumerates two one-sided operations
+    /// with disjoint target footprints; a ruleset edit that makes any such
+    /// pair erroneous must fail here instead of silently losing findings.
+    #[test]
+    fn sweep_filters_are_sound_for_table1() {
+        let classes = all_classes();
+        assert_eq!(classes.len(), ALL_CATEGORIES.len() + 4);
+        let one_sided = |c: AccessClass| origin_effect(c.category).is_some();
+        for &a in &classes {
+            for &b in &classes {
+                let readers = a.category.is_window_read() && b.category.is_window_read();
+                let locals = !one_sided(a) && !one_sided(b);
+                if readers || locals {
+                    assert_eq!(conflicts(a, b, true), None, "{a} vs {b}");
+                    assert_ne!(compat(a, b), Compatibility::Error, "{a} vs {b}");
+                }
+                if one_sided(a) && one_sided(b) {
+                    assert_eq!(conflicts(a, b, false), None, "disjoint {a} vs {b}");
+                }
+            }
+        }
+        // The reader class is exactly Load and Get.
+        let readers: Vec<_> = ALL_CATEGORIES.into_iter().filter(|c| c.is_window_read()).collect();
+        assert_eq!(readers, [AccessCategory::Load, AccessCategory::Get]);
+    }
+
     #[test]
     fn separation_rule_ignores_overlap() {
         // Store vs Put is erroneous even without overlap (§IV-C4).

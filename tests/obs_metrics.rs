@@ -60,6 +60,75 @@ fn metric_snapshots_identical_across_thread_counts() {
     }
 }
 
+/// The interval sweep hands the Table-I check only overlaps that involve
+/// a window writer. Seven ranks `MPI_Get` the same four slots of rank 0
+/// three times each (84 Gets, 840 compatible Get/Get overlaps in the
+/// one shard); ranks 1 and 2 also `MPI_Put` to a fifth slot that rank 3
+/// reads — the only writer-involved overlaps (Put/Put and two Get/Put).
+/// Counts, not timings: a sweep that enumerates reader pairs again
+/// fails this at any machine speed.
+#[test]
+fn interval_pairs_count_only_writer_involved_overlaps() {
+    use mc_checker::types::{EventKind, RmaKind, RmaOp, SourceLoc, TraceBuilder};
+    const RANKS: u32 = 8;
+    let rma = |kind, origin_addr, slot: u64| {
+        EventKind::Rma(RmaOp {
+            kind,
+            win: WinId(0),
+            target: Rank(0),
+            origin_addr,
+            origin_count: 1,
+            origin_dtype: DatatypeId::INT,
+            target_disp: 8 * slot,
+            target_count: 1,
+            target_dtype: DatatypeId::INT,
+        })
+    };
+    let mut b = TraceBuilder::new(RANKS as usize);
+    for r in 0..RANKS {
+        b.push(
+            Rank(r),
+            EventKind::WinCreate { win: WinId(0), base: 64, len: 64, comm: CommId::WORLD },
+        );
+        b.push(Rank(r), EventKind::Fence { win: WinId(0) });
+    }
+    for r in 1..RANKS {
+        // Every op has its own origin buffer: no intra-epoch findings.
+        for i in 0..12u64 {
+            b.push(Rank(r), rma(RmaKind::Get, 4096 + 8 * i, i % 4));
+        }
+    }
+    for (r, kind) in [(1, RmaKind::Put), (2, RmaKind::Put), (3, RmaKind::Get)] {
+        // Distinct source lines, so dedup keeps all three findings.
+        b.push_at(Rank(r), rma(kind, 8192, 5), SourceLoc::new("plant.c", 10 + r, "main"));
+    }
+    for r in 0..RANKS {
+        b.push(Rank(r), EventKind::Fence { win: WinId(0) });
+    }
+    let trace = b.build();
+
+    let run = |threads: usize, engine: Engine| {
+        let obs = RecorderHandle::enabled();
+        let report = AnalysisSession::builder()
+            .threads(threads)
+            .engine(engine)
+            .recorder(obs.clone())
+            .build()
+            .run(&trace);
+        (report.to_json(), obs.snapshot())
+    };
+    let (naive_json, _) = run(1, Engine::Naive);
+    let (baseline_json, baseline) = run(1, Engine::Sweep);
+    assert_eq!(baseline_json, naive_json, "the filter must not change the report");
+    assert_eq!(baseline.counters["findings_error_total"], 3);
+    assert_eq!(baseline.counters["interval_pairs_total"], 3, "Get/Get overlaps were enumerated");
+    for threads in [2usize, 4] {
+        let (json, snapshot) = run(threads, Engine::Sweep);
+        assert_eq!(json, naive_json, "report diverged at {threads} threads");
+        assert_eq!(snapshot.render(), baseline.render(), "metrics diverged at {threads} threads");
+    }
+}
+
 /// A strict line-level parser for the Prometheus text exposition the
 /// daemon serves: every line is either a `# TYPE` header or a sample
 /// belonging to the most recent header; histogram blocks carry
