@@ -34,21 +34,6 @@ fn bench_phases(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel_mode(c: &mut Criterion) {
-    // The paper's future-work item: multithreaded offline analysis.
-    let t = synth_trace(&SynthParams { rounds: 32, nprocs: 8, ..Default::default() }, 0.1);
-    let mut g = c.benchmark_group("analyzer/parallel");
-    g.bench_function("sequential", |b| {
-        let session = AnalysisSession::new();
-        b.iter(|| session.run(&t));
-    });
-    g.bench_function("rayon", |b| {
-        let session = AnalysisSession::builder().threads(4).build();
-        b.iter(|| session.run(&t));
-    });
-    g.finish();
-}
-
 fn bench_streaming_vs_batch(c: &mut Criterion) {
     // The §VII-B future-work item: online analysis with bounded memory.
     use mcc_core::streaming::StreamingChecker;
@@ -63,11 +48,5 @@ fn bench_streaming_vs_batch(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_full_check,
-    bench_phases,
-    bench_parallel_mode,
-    bench_streaming_vs_batch
-);
+criterion_group!(benches, bench_full_check, bench_phases, bench_streaming_vs_batch);
 criterion_main!(benches);

@@ -16,15 +16,7 @@ use mcc_core::{AnalysisSession, ErrorScope, Severity};
 use mcc_mpi_sim::FaultPlan;
 
 fn main() {
-    // `--threads N` selects the conflict-engine thread count (default 1).
-    let args: Vec<String> = std::env::args().collect();
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
-    let checker = AnalysisSession::builder().threads(threads).build();
+    let checker = AnalysisSession::new();
     println!("Table II: Overall effectiveness of MC-Checker");
     println!();
     println!(

@@ -130,12 +130,11 @@ impl CheckReport {
 
     /// Renders the report as stable, versioned JSON (`schema_version` 1).
     ///
-    /// The document carries only scheduling-independent data — findings
-    /// in canonical order plus the structural statistics; no durations,
-    /// thread counts, or engine names — so for a given trace and engine
-    /// configuration the output is **byte-identical at every thread
-    /// count**. Consumers should reject documents whose `schema_version`
-    /// they do not know.
+    /// The document carries only run-independent data — findings in
+    /// canonical order plus the structural statistics; no durations or
+    /// engine names — so for a given trace the output is **byte-identical
+    /// on every run and in both engines**. Consumers should reject
+    /// documents whose `schema_version` they do not know.
     pub fn to_json(&self) -> String {
         self.render_json(false)
     }
@@ -407,7 +406,7 @@ mod tests {
     #[test]
     fn json_report_excludes_timings() {
         let json = AnalysisSession::new().run(&buggy_trace()).to_json();
-        for key in ["_time", "_us", "timings", "duration", "threads", "engine"] {
+        for key in ["_time", "_us", "timings", "duration", "engine"] {
             assert!(!json.contains(key), "{key} would break byte-identity across runs");
         }
     }

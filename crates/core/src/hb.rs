@@ -47,7 +47,7 @@ pub fn racing_events(trace: &Trace) -> HashSet<EventRef> {
             racing.insert(d.b.ev);
         }
     }
-    for shard in &inter::build_shards(trace, &ctx, &epochs, &regions, 1) {
+    for shard in &inter::build_shards(trace, &ctx, &epochs, &regions) {
         for d in inter::detect_shard(trace, &dag, &clocks, shard, &obs) {
             racing.insert(d.a.ev);
             racing.insert(d.b.ev);

@@ -22,12 +22,13 @@
 //! (the MPI-2.2 separation rule); those are enumerated directly from the
 //! shard's two (small) class groups.
 //!
-//! Shards are mutually independent, so [`crate::session::AnalysisSession`]
-//! runs them on a thread pool; each shard carries its own memoized
-//! vector-clock cache ([`crate::vc::ReachCache`]). Pairs that the region
-//! partition admits are confirmed genuinely unordered with vector clocks
-//! before being reported (no false positives from, e.g., a send/recv
-//! inside the region).
+//! Shards are the sweep's grouping, not units of scheduling:
+//! [`crate::session::AnalysisSession`] walks them one after another in
+//! key order, each with its own memoized vector-clock cache
+//! ([`crate::vc::ReachCache`]). Pairs that the region partition admits
+//! are confirmed genuinely unordered with vector clocks before being
+//! reported (no false positives from, e.g., a send/recv inside the
+//! region).
 //!
 //! The naive all-pairs detector is kept as [`detect_naive`] for the
 //! complexity ablation and the differential tests.
@@ -36,6 +37,8 @@ use crate::dag::Dag;
 use crate::epoch::{EpochKind, Epochs};
 use crate::preprocess::Ctx;
 use crate::regions::{IntervalIndex, Regions, Touch};
+#[cfg(test)]
+use crate::report::canonical_merge;
 use crate::report::{Confidence, ConsistencyError, ErrorScope, OpInfo, Severity};
 use crate::vc::{Clocks, ReachCache};
 use mcc_obs::RecorderHandle;
@@ -44,8 +47,6 @@ use mcc_types::{
     EventKind, EventRef, LockKind, MemRegion, Rank, Trace, WinId,
 };
 use std::collections::BTreeMap;
-#[cfg(test)]
-use std::collections::HashSet;
 
 /// One access recorded in a shard: a one-sided operation aimed at the
 /// shard's `(window, target)`, or a local load/store by the target rank
@@ -64,8 +65,9 @@ pub(crate) struct Item {
     epoch: Option<u32>,
 }
 
-/// The unit of parallel work of the cross-process detector: all accesses
-/// contending one window instance inside one concurrent region.
+/// The unit of work of the cross-process detector — what one interval
+/// sweep runs over: all accesses contending one window instance inside
+/// one concurrent region.
 pub(crate) struct Shard {
     /// The window.
     pub(crate) win: WinId,
@@ -103,70 +105,53 @@ fn severity(a: Option<LockKind>, b: Option<LockKind>) -> Severity {
     }
 }
 
-type Buckets = BTreeMap<(u32, WinId, Rank), (Vec<Item>, bool)>;
-
 /// Groups every access of the trace into its `(region, window, target)`
-/// shard. The per-event work — datatype resolution into absolute
-/// footprints — is independent per rank, so ranks are scanned on the
-/// thread pool and their buckets merged in rank order, which keeps every
-/// shard's items in `(rank, event index)` order: downstream processing is
-/// independent of scheduling. Shards without any one-sided operation are
-/// dropped — local accesses alone cannot produce a cross-process conflict.
+/// shard: one walk over the ranks, then over each rank's events, so every
+/// shard's items are in `(rank, event index)` order and the shards come
+/// out in key order. Shards without any one-sided operation are dropped —
+/// local accesses alone cannot produce a cross-process conflict.
 pub(crate) fn build_shards(
     trace: &Trace,
     ctx: &Ctx,
     epochs: &Epochs,
     regions: &Regions,
-    threads: usize,
 ) -> Vec<Shard> {
-    let per_rank: Vec<Buckets> = rayon::par_map(trace.nprocs(), threads, |r| {
-        let mut buckets = Buckets::new();
-        let rank = Rank(r as u32);
-        for (i, event) in trace.procs[r].events.iter().enumerate() {
-            let er = EventRef::new(rank, i);
-            let region = regions.region_of(er);
-            if let Some(ra) = ctx.resolve_rma_event(er.rank, &event.kind) {
-                let entry = buckets.entry((region, ra.win, ra.target_abs)).or_default();
-                entry.0.push(Item {
-                    ev: er,
-                    class: ra.class,
-                    map: ra.target_map,
-                    lock: op_lock_kind(epochs, er),
-                    local: None,
-                    epoch: epochs.ordinal_of(er),
-                });
-                entry.1 = true;
+    // Items of each shard, and whether any of them is a one-sided operation.
+    let mut buckets: BTreeMap<(u32, WinId, Rank), (Vec<Item>, bool)> = BTreeMap::new();
+    for (er, event) in trace.iter_events() {
+        let region = regions.region_of(er);
+        if let Some(ra) = ctx.resolve_rma_event(er.rank, &event.kind) {
+            let entry = buckets.entry((region, ra.win, ra.target_abs)).or_default();
+            entry.0.push(Item {
+                ev: er,
+                class: ra.class,
+                map: ra.target_map,
+                lock: op_lock_kind(epochs, er),
+                local: None,
+                epoch: epochs.ordinal_of(er),
+            });
+            entry.1 = true;
+            continue;
+        }
+        let (is_store, addr, len) = match event.kind {
+            EventKind::Load { addr, len } => (false, addr, len),
+            EventKind::Store { addr, len } => (true, addr, len),
+            _ => continue,
+        };
+        let access = MemRegion::new(addr, len);
+        for (win, win_region) in ctx.wins_of_rank(er.rank) {
+            if !win_region.overlaps(access) {
                 continue;
             }
-            let (is_store, addr, len) = match event.kind {
-                EventKind::Load { addr, len } => (false, addr, len),
-                EventKind::Store { addr, len } => (true, addr, len),
-                _ => continue,
-            };
-            let access = MemRegion::new(addr, len);
-            for (win, win_region) in ctx.wins_of_rank(er.rank) {
-                if !win_region.overlaps(access) {
-                    continue;
-                }
-                let entry = buckets.entry((region, win, er.rank)).or_default();
-                entry.0.push(Item {
-                    ev: er,
-                    class: if is_store { AccessClass::STORE } else { AccessClass::LOAD },
-                    map: DataMap::contiguous(len).shifted(addr),
-                    lock: None,
-                    local: Some(is_store),
-                    epoch: None,
-                });
-            }
-        }
-        buckets
-    });
-    let mut buckets = Buckets::new();
-    for m in per_rank {
-        for (key, (items, has_rma)) in m {
-            let entry = buckets.entry(key).or_default();
-            entry.0.extend(items);
-            entry.1 |= has_rma;
+            let entry = buckets.entry((region, win, er.rank)).or_default();
+            entry.0.push(Item {
+                ev: er,
+                class: if is_store { AccessClass::STORE } else { AccessClass::LOAD },
+                map: DataMap::contiguous(len).shifted(addr),
+                lock: None,
+                local: Some(is_store),
+                epoch: None,
+            });
         }
     }
     buckets
@@ -223,9 +208,9 @@ fn make_error(
 /// interval index, sweeps for overlapping pairs, enumerates the
 /// separation-rule pairs, and confirms candidates unordered through a
 /// shard-private [`ReachCache`]. Findings are returned raw — including
-/// source-level duplicates — because only the session's canonical
-/// sort-then-dedup can pick the representative deterministically across
-/// engines and thread counts.
+/// source-level duplicates — because only the session's canonical merge
+/// ([`crate::report::canonical_merge`]) picks the representative the
+/// all-pairs oracle picks too.
 pub(crate) fn detect_shard(
     trace: &Trace,
     dag: &Dag,
@@ -235,9 +220,7 @@ pub(crate) fn detect_shard(
 ) -> Vec<ConsistencyError> {
     let mut cache = ReachCache::new(clocks);
     let mut out = Vec::new();
-    // Counters accumulate locally and flush once per shard, so the
-    // recorder totals are sums over a scheduling-independent shard list —
-    // identical at every thread count.
+    // Counters accumulate locally and flush once per shard.
     let mut interval_pairs = 0u64;
     let mut separation_pairs = 0u64;
 
@@ -293,9 +276,9 @@ pub(crate) fn detect_shard(
     out
 }
 
-/// Runs the sharded sweep detection sequentially over the whole trace —
-/// the reference the unit tests drive directly (the session runs the
-/// same shards through its canonical merge).
+/// Runs the sharded sweep detection over the whole trace — what the unit
+/// tests drive directly (the session runs the same shards through the
+/// same canonical merge).
 #[cfg(test)]
 pub(crate) fn detect(
     trace: &Trace,
@@ -306,13 +289,11 @@ pub(crate) fn detect(
     clocks: &Clocks,
 ) -> Vec<ConsistencyError> {
     let obs = RecorderHandle::disabled();
-    let mut out: Vec<ConsistencyError> = build_shards(trace, ctx, epochs, regions, 1)
+    let mut out: Vec<ConsistencyError> = build_shards(trace, ctx, epochs, regions)
         .iter()
         .flat_map(|shard| detect_shard(trace, dag, clocks, shard, &obs))
         .collect();
-    out.sort_by_key(|x| x.canonical_key());
-    let mut seen = HashSet::new();
-    out.retain(|e| seen.insert(e.dedup_key()));
+    canonical_merge(&mut out);
     out
 }
 
@@ -488,9 +469,7 @@ mod tests {
                 &clocks,
                 &RecorderHandle::disabled(),
             );
-            out.sort_by_key(|x| x.canonical_key());
-            let mut seen = HashSet::new();
-            out.retain(|e| seen.insert(e.dedup_key()));
+            canonical_merge(&mut out);
             out
         }
     }
@@ -683,7 +662,7 @@ mod tests {
         let m = match_sync(&trace, &ctx);
         let regions = partition(&trace, &m);
         let eps = extract(&trace, &ctx);
-        let shards = build_shards(&trace, &ctx, &eps, &regions, 1);
+        let shards = build_shards(&trace, &ctx, &eps, &regions);
         assert_eq!(shards.len(), 3, "two targets in region 1, one in region 2");
         assert!(shards.iter().all(|s| s.win == WinId(0)));
     }
@@ -707,13 +686,11 @@ mod tests {
         let whole = detect(&trace, &ctx, &eps, &regions, &dag, &clocks);
         // Deduplicate each shard independently: the global count must
         // match, i.e. shards are disjoint and need no cross-shard dedup.
-        let per_shard: usize = build_shards(&trace, &ctx, &eps, &regions, 1)
+        let per_shard: usize = build_shards(&trace, &ctx, &eps, &regions)
             .iter()
             .map(|s| {
                 let mut v = detect_shard(&trace, &dag, &clocks, s, &RecorderHandle::disabled());
-                v.sort_by_key(|x| x.canonical_key());
-                let mut seen = HashSet::new();
-                v.retain(|e| seen.insert(e.dedup_key()));
+                canonical_merge(&mut v);
                 v.len()
             })
             .sum();

@@ -66,9 +66,9 @@ struct LocalAccess {
     region: MemRegion,
 }
 
-/// Scans every epoch for conflicting pairs — the reference the unit
-/// tests drive directly ([`crate::session::AnalysisSession`] runs
-/// [`check_epoch`] per epoch on the thread pool and merges).
+/// Scans every epoch for conflicting pairs — what the unit tests drive
+/// directly ([`crate::session::AnalysisSession`] runs [`check_epoch`]
+/// per epoch and merges).
 #[cfg(test)]
 pub(crate) fn detect(trace: &Trace, ctx: &Ctx, epochs: &Epochs) -> Vec<ConsistencyError> {
     let mut out = Vec::new();
@@ -83,11 +83,10 @@ pub(crate) fn detect(trace: &Trace, ctx: &Ctx, epochs: &Epochs) -> Vec<Consisten
     out
 }
 
-/// Checks one epoch — the unit of parallel work of the intra-epoch
-/// detector. Epochs are independent (every pair this detector reports
-/// lives inside a single epoch), so the session can run them on any
-/// thread in any order. Findings are deduplicated within the epoch; the
-/// caller deduplicates globally.
+/// Checks one epoch — the unit of work of the intra-epoch detector
+/// (every pair this detector reports lives inside a single epoch).
+/// Findings are deduplicated within the epoch; the caller deduplicates
+/// globally.
 pub(crate) fn check_epoch(
     trace: &Trace,
     ctx: &Ctx,

@@ -7,6 +7,7 @@
 
 use mcc_types::{ConflictKind, EventRef, MemRegion, Rank, SourceLoc, Trace, WinId};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Error severity. The original lockopts bug (exclusive lock) is reported
@@ -183,13 +184,27 @@ impl ConsistencyError {
 
     /// The canonical presentation order of findings: by (rank, event id)
     /// of the first operation, then of the second, then by the byte
-    /// offsets of the contended memory. Every engine and thread count
-    /// merges findings in this order, so reports are bit-identical
-    /// however the analysis was scheduled.
+    /// offsets of the contended memory. Both engines merge findings in
+    /// this order, so their reports are bit-identical whatever order each
+    /// discovered the pairs in.
     pub fn canonical_key(&self) -> (EventRef, EventRef, u64, u64) {
         let off = |o: &OpInfo| o.region.map_or(u64::MAX, |r| r.base);
         (self.a.ev, self.b.ev, off(&self.a), off(&self.b))
     }
+}
+
+/// The canonical merge: stably sorts findings by
+/// [`ConsistencyError::canonical_key`], THEN drops every later finding
+/// with an already-seen [`ConsistencyError::dedup_key`], so the
+/// representative of each duplicated source-level conflict is its
+/// canonically smallest occurrence whatever order the detectors produced
+/// them in. Returns the number of findings dropped.
+pub(crate) fn canonical_merge(findings: &mut Vec<ConsistencyError>) -> usize {
+    let raw = findings.len();
+    findings.sort_by_key(|e| e.canonical_key());
+    let mut seen = HashSet::new();
+    findings.retain(|e| seen.insert(e.dedup_key()));
+    raw - findings.len()
 }
 
 impl fmt::Display for ConsistencyError {

@@ -1,16 +1,15 @@
 //! The analysis pipeline API: [`AnalysisSession`].
 //!
-//! A session owns the configuration of one analysis — thread count,
-//! conflict engine, degraded-mode tolerance, and the ablation knobs — and
-//! runs the full DN-Analyzer pipeline (preprocessing, synchronization
-//! matching, DAG construction, vector clocks, concurrent-region and epoch
-//! extraction, the two detectors) on any number of traces:
+//! A session owns the configuration of one analysis — conflict engine,
+//! degraded-mode tolerance, and the ablation knobs — and runs the full
+//! DN-Analyzer pipeline (preprocessing, synchronization matching, DAG
+//! construction, vector clocks, concurrent-region and epoch extraction,
+//! the two detectors) on any number of traces:
 //!
 //! ```
 //! use mcc_core::session::{AnalysisSession, Engine};
 //! # use mcc_types::Trace;
 //! let session = AnalysisSession::builder()
-//!     .threads(4)
 //!     .engine(Engine::Sweep)
 //!     .tolerate_truncation(false)
 //!     .build();
@@ -18,23 +17,24 @@
 //! assert!(!report.has_errors());
 //! ```
 //!
-//! # Parallel sharded detection
+//! # One thread per analysis
 //!
-//! Both detectors decompose into independent shards: the intra-epoch
-//! detector works epoch by epoch, the cross-process detector window
-//! instance by window instance (`(region, window, target)` — see
-//! [`crate::inter`]). With `threads(n)`, shards run on up to `n` OS
-//! threads via the vendored `rayon::par_map`.
+//! One `run` is one thread, as in the paper's DN-Analyzer: the
+//! intra-epoch detector walks the epochs in order, the cross-process
+//! detector walks the `(region, window, target)` shards in order (the
+//! grouping the sort-and-sweep needs — see [`crate::inter`]). Callers
+//! that want more cores run independent analyses side by side — sessions
+//! in the daemon, schedules in the explorer.
 //!
 //! # Determinism
 //!
-//! The report is **bit-identical at every thread count and in both
-//! engines' finding order**: shards are enumerated in a fixed order,
-//! `par_map` returns results in index order regardless of scheduling, and
-//! the merged findings are stably sorted by
+//! The order of findings is fixed by construction: epochs and shards are
+//! enumerated in a fixed order. The findings are then stably sorted by
 //! [`ConsistencyError::canonical_key`] — `(rank, event id, byte offset)`
-//! of the two operations — before deduplication, so even the surviving
-//! representative of a duplicated finding is scheduling-independent.
+//! of the two operations — before deduplication, so the report is
+//! **bit-identical in both engines**: the sweep and the all-pairs oracle
+//! discover the same pairs in different orders, and the sort picks the
+//! same representative of a duplicated finding for both.
 
 use crate::check::{AnalysisStats, CheckReport};
 use crate::dag;
@@ -46,53 +46,30 @@ use crate::matching;
 use crate::preprocess;
 use crate::recovery;
 use crate::regions::{self, Regions};
-use crate::report::{Confidence, ConsistencyError};
+use crate::report::{self, Confidence, ConsistencyError};
 use crate::vc::Clocks;
 use mcc_obs::RecorderHandle;
 use mcc_types::Trace;
 use std::collections::HashSet;
-use std::fmt;
 use std::time::Instant;
 
 /// Which cross-process conflict engine to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// The sharded sort-and-sweep engine: O(n log n + k) per shard,
-    /// parallelizable. The default.
+    /// The sharded sort-and-sweep engine: O(n log n + k) per shard. The
+    /// default.
     #[default]
     Sweep,
-    /// The combinatorial all-pairs baseline (§IV-C4 ablation; always
-    /// sequential).
+    /// The combinatorial all-pairs baseline (§IV-C4 ablation, and the
+    /// oracle of the differential tests).
     Naive,
 }
 
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Engine::Sweep => f.write_str("sweep"),
-            Engine::Naive => f.write_str("naive"),
-        }
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "sweep" => Ok(Engine::Sweep),
-            "naive" => Ok(Engine::Naive),
-            other => Err(format!("unknown engine '{other}' (expected 'sweep' or 'naive')")),
-        }
-    }
-}
-
 /// Builder for [`AnalysisSession`]. Defaults reproduce the paper's
-/// configuration: single-threaded, sweep engine, strict (non-tolerant)
-/// trace handling, region partitioning on, progress-counter matching.
+/// configuration: sweep engine, strict (non-tolerant) trace handling,
+/// region partitioning on, progress-counter matching.
 #[derive(Debug, Clone)]
 pub struct AnalysisSessionBuilder {
-    threads: usize,
     engine: Engine,
     tolerate_truncation: bool,
     partition_regions: bool,
@@ -103,7 +80,6 @@ pub struct AnalysisSessionBuilder {
 impl Default for AnalysisSessionBuilder {
     fn default() -> Self {
         Self {
-            threads: 1,
             engine: Engine::Sweep,
             tolerate_truncation: false,
             partition_regions: true,
@@ -114,13 +90,6 @@ impl Default for AnalysisSessionBuilder {
 }
 
 impl AnalysisSessionBuilder {
-    /// Number of worker threads for the detection phase. `0` is treated
-    /// as `1`. The report is identical at every thread count.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
-        self
-    }
-
     /// Selects the cross-process conflict engine.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
@@ -180,16 +149,6 @@ impl AnalysisSession {
     /// A session with the default (paper) configuration.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The configured thread count.
-    pub fn threads(&self) -> usize {
-        self.cfg.threads
-    }
-
-    /// The configured engine.
-    pub fn engine(&self) -> Engine {
-        self.cfg.engine
     }
 
     /// The attached observability recorder (disabled unless
@@ -298,30 +257,9 @@ impl AnalysisSession {
         report
             .diagnostics
             .retain(|d| !quarantined.contains(&d.a.ev) && !quarantined.contains(&d.b.ev));
-        for d in &rec.findings {
-            use crate::report::Severity;
-            use mcc_types::ConflictKind;
-            obs.add(
-                match d.severity {
-                    Severity::Error => "findings_error_total",
-                    Severity::Warning => "findings_warning_total",
-                },
-                1,
-            );
-            obs.add(
-                match d.kind {
-                    ConflictKind::StaleReadFromFailedRank => "findings_stale_read_total",
-                    ConflictKind::LostUpdateAcrossReexposure => "findings_lost_update_total",
-                    ConflictKind::OverlapViolation => "findings_overlap_total",
-                    ConflictKind::SeparationViolation => "findings_separation_total",
-                },
-                1,
-            );
-        }
+        count_findings(obs, &rec.findings);
         report.diagnostics.extend(rec.findings);
-        report.diagnostics.sort_by_key(|x| x.canonical_key());
-        let mut seen = HashSet::new();
-        report.diagnostics.retain(|e| seen.insert(e.dedup_key()));
+        report::canonical_merge(&mut report.diagnostics);
 
         // Repair at a rank that did NOT fail is genuine trace damage.
         let failed: HashSet<u32> = rec.failed.iter().map(|(r, _)| r.0).collect();
@@ -402,93 +340,83 @@ impl AnalysisSession {
         obs.add("regions_total", stats.regions as u64);
         obs.add("epochs_total", stats.epochs as u64);
 
-        // Detection over independent shards. Shard lists are built in a
-        // fixed order and `par_map` returns per-shard results in index
-        // order, so the concatenation below does not depend on
-        // scheduling. Per-shard counters are accumulated inside each
-        // shard and added once on completion, so totals commute and the
-        // metrics snapshot is identical at every thread count.
+        // Detection: every epoch in order, then every shard in order,
+        // into one list of raw findings.
         let t0 = Instant::now();
-        let threads = self.cfg.threads;
         let detect_span = obs.span("check.detect");
-        let intra_found = {
+        let mut diagnostics: Vec<ConsistencyError> = Vec::new();
+        {
             let _s = obs.span("check.detect.intra");
-            rayon::par_map(epochs.epochs.len(), threads, |i| {
-                intra::check_epoch(trace, &ctx, &epochs.epochs[i], epochs.ordinals[i])
-            })
-        };
-        let inter_found = {
+            for (epoch, &ordinal) in epochs.epochs.iter().zip(&epochs.ordinals) {
+                diagnostics.extend(intra::check_epoch(trace, &ctx, epoch, ordinal));
+            }
+        }
+        {
             let _s = obs.span("check.detect.inter");
             match self.cfg.engine {
                 Engine::Sweep => {
                     let shards = {
                         let _s = obs.span("check.shard");
-                        inter::build_shards(trace, &ctx, &epochs, &regions, threads)
+                        inter::build_shards(trace, &ctx, &epochs, &regions)
                     };
                     obs.add("shards_total", shards.len() as u64);
                     for shard in &shards {
                         obs.observe("shard_items", shard.len() as u64);
+                        diagnostics.extend(inter::detect_shard(trace, &dag, &clocks, shard, obs));
                     }
-                    rayon::par_map(shards.len(), threads, |i| {
-                        inter::detect_shard(trace, &dag, &clocks, &shards[i], obs)
-                    })
                 }
-                Engine::Naive => {
-                    vec![inter::detect_naive(trace, &ctx, &epochs, &regions, &dag, &clocks, obs)]
-                }
+                Engine::Naive => diagnostics.extend(inter::detect_naive(
+                    trace, &ctx, &epochs, &regions, &dag, &clocks, obs,
+                )),
             }
-        };
+        }
         drop(detect_span);
-        let mut diagnostics: Vec<ConsistencyError> =
-            intra_found.into_iter().chain(inter_found).flatten().collect();
         stats.detect_time = t0.elapsed();
 
-        // Canonical merge: stable sort by (rank, event id, byte offset)
-        // of the pair, THEN deduplicate, so the representative of each
-        // duplicated source-level conflict is the canonically smallest
-        // occurrence whatever order the shards produced them in.
         let t0 = Instant::now();
-        let raw = diagnostics.len();
-        {
+        let dropped = {
             let _s = obs.span("check.merge");
-            diagnostics.sort_by_key(|x| x.canonical_key());
-            let mut seen = HashSet::new();
-            diagnostics.retain(|e| seen.insert(e.dedup_key()));
-        }
+            report::canonical_merge(&mut diagnostics)
+        };
         stats.merge_time = t0.elapsed();
-        obs.add("dedup_dropped_total", (raw - diagnostics.len()) as u64);
-        for d in &diagnostics {
-            use crate::report::Severity;
-            use mcc_types::ConflictKind;
-            obs.add(
-                match d.severity {
-                    Severity::Error => "findings_error_total",
-                    Severity::Warning => "findings_warning_total",
-                },
-                1,
-            );
-            obs.add(
-                match d.kind {
-                    ConflictKind::OverlapViolation => "findings_overlap_total",
-                    ConflictKind::SeparationViolation => "findings_separation_total",
-                    ConflictKind::StaleReadFromFailedRank => "findings_stale_read_total",
-                    ConflictKind::LostUpdateAcrossReexposure => "findings_lost_update_total",
-                },
-                1,
-            );
-        }
+        obs.add("dedup_dropped_total", dropped as u64);
+        count_findings(obs, &diagnostics);
         mcc_obs::log!(
             Debug,
             "analysis done: {} event(s), {} finding(s) ({} raw), {} epoch(s), {} region(s)",
             stats.total_events,
             diagnostics.len(),
-            raw,
+            diagnostics.len() + dropped,
             stats.epochs,
             stats.regions
         );
         stats.total_time = run_start.elapsed();
 
         CheckReport { diagnostics, stats, confidence: Confidence::Complete }
+    }
+}
+
+/// Adds each finding to its `findings_*_total` severity and rule counters.
+fn count_findings(obs: &RecorderHandle, findings: &[ConsistencyError]) {
+    use crate::report::Severity;
+    use mcc_types::ConflictKind;
+    for d in findings {
+        obs.add(
+            match d.severity {
+                Severity::Error => "findings_error_total",
+                Severity::Warning => "findings_warning_total",
+            },
+            1,
+        );
+        obs.add(
+            match d.kind {
+                ConflictKind::OverlapViolation => "findings_overlap_total",
+                ConflictKind::SeparationViolation => "findings_separation_total",
+                ConflictKind::StaleReadFromFailedRank => "findings_stale_read_total",
+                ConflictKind::LostUpdateAcrossReexposure => "findings_lost_update_total",
+            },
+            1,
+        );
     }
 }
 
@@ -530,23 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults() {
-        let s = AnalysisSession::new();
-        assert_eq!(s.threads(), 1);
-        assert_eq!(s.engine(), Engine::Sweep);
-        let s = AnalysisSession::builder().threads(0).build();
-        assert_eq!(s.threads(), 1, "zero threads clamps to one");
-    }
-
-    #[test]
-    fn engine_parses_from_str() {
-        assert_eq!("sweep".parse::<Engine>().unwrap(), Engine::Sweep);
-        assert_eq!("naive".parse::<Engine>().unwrap(), Engine::Naive);
-        assert!("fast".parse::<Engine>().is_err());
-        assert_eq!(Engine::Sweep.to_string(), "sweep");
-    }
-
-    #[test]
     fn session_finds_both_error_classes() {
         let report = AnalysisSession::new().run(&buggy_trace());
         assert!(report.has_errors());
@@ -554,30 +465,21 @@ mod tests {
     }
 
     #[test]
-    fn identical_reports_across_thread_counts_and_engines() {
+    fn identical_reports_across_engines() {
         let trace = buggy_trace();
         let base = AnalysisSession::new().run(&trace);
-        for threads in [1, 2, 4, 8] {
-            for engine in [Engine::Sweep, Engine::Naive] {
-                let r =
-                    AnalysisSession::builder().threads(threads).engine(engine).build().run(&trace);
-                assert_eq!(
-                    r.diagnostics.len(),
-                    base.diagnostics.len(),
-                    "threads={threads} engine={engine}"
-                );
-                for (x, y) in r.diagnostics.iter().zip(&base.diagnostics) {
-                    assert_eq!(x.canonical_key(), y.canonical_key());
-                    assert_eq!(x.severity, y.severity);
-                    assert_eq!(x.kind, y.kind);
-                }
-            }
+        let naive = AnalysisSession::builder().engine(Engine::Naive).build().run(&trace);
+        assert_eq!(naive.diagnostics.len(), base.diagnostics.len());
+        for (x, y) in naive.diagnostics.iter().zip(&base.diagnostics) {
+            assert_eq!(x.canonical_key(), y.canonical_key());
+            assert_eq!(x.severity, y.severity);
+            assert_eq!(x.kind, y.kind);
         }
     }
 
     #[test]
     fn findings_in_canonical_order() {
-        let report = AnalysisSession::builder().threads(4).build().run(&buggy_trace());
+        let report = AnalysisSession::new().run(&buggy_trace());
         let keys: Vec<_> = report.diagnostics.iter().map(|e| e.canonical_key()).collect();
         let mut sorted = keys.clone();
         sorted.sort();
@@ -599,20 +501,18 @@ mod tests {
     }
 
     #[test]
-    fn degraded_reports_identical_across_thread_counts() {
+    fn degraded_reports_identical_across_engines() {
         let mut t = buggy_trace();
         let cut = t.procs[0].events.len() - 1;
         t.procs[0].events.truncate(cut);
-        let run = |threads| {
+        let run = |engine| {
             AnalysisSession::builder()
-                .threads(threads)
+                .engine(engine)
                 .tolerate_truncation(true)
                 .build()
                 .run(&t)
                 .render()
         };
-        let base = run(1);
-        assert_eq!(run(2), base);
-        assert_eq!(run(4), base);
+        assert_eq!(run(Engine::Sweep), run(Engine::Naive));
     }
 }

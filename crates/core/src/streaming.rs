@@ -158,7 +158,7 @@ impl StreamingChecker {
     }
 
     /// Creates a streaming checker that analyzes regions with a custom
-    /// session (thread count, engine, ...).
+    /// session (engine, recorder, ...).
     pub fn with_session(nprocs: usize, session: AnalysisSession) -> Result<Self, StreamError> {
         if nprocs == 0 {
             return Err(StreamError::ZeroRanks);

@@ -13,8 +13,8 @@
 //!   fixed-bucket histograms ([`RecorderHandle::observe`]). A
 //!   [`Snapshot`] is deterministic: every name the pipeline emits is
 //!   derived from the trace content, never from scheduling, so snapshots
-//!   are byte-identical across thread counts. Durations deliberately
-//!   live only in spans, which are excluded from the snapshot.
+//!   are byte-identical from run to run. Durations deliberately live
+//!   only in spans, which are excluded from the snapshot.
 //! * **Logging** — the [`log!`] macro, leveled and gated by the
 //!   `MCC_LOG` environment variable (off by default, so test output
 //!   stays clean).

@@ -132,7 +132,10 @@ pub const MAX_RANKS: u32 = 4096;
 /// Per-session options a client may request in its `Hello`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionOpts {
-    /// Worker threads for the region analyses (the server clamps this).
+    /// Ignored since PR 17 (one analysis runs on one thread); kept for v1
+    /// peers and on-disk journals. Still always written — a
+    /// [`PROTOCOL_VERSION`] 1 daemon's decoder requires the key — and
+    /// still decoded from `Hello` frames and journal `Open` records.
     pub threads: u32,
     /// Requested buffered-event cap; `0` accepts the server default. The
     /// server never raises its own hard cap for a client.

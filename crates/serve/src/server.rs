@@ -90,9 +90,6 @@ pub struct ServeConfig {
     pub write_timeout: Option<Duration>,
     /// How long a backpressured connection thread sleeps per pause.
     pub backpressure_pause: Duration,
-    /// Upper bound on the per-session analysis thread count a client may
-    /// request.
-    pub max_threads: usize,
     /// On durable sessions, send an `Ack` (after syncing the journal)
     /// every this many events.
     pub ack_interval: u64,
@@ -168,7 +165,6 @@ impl Default for ServeConfig {
             tick: Duration::from_millis(200),
             write_timeout: Some(Duration::from_secs(30)),
             backpressure_pause: Duration::from_millis(2),
-            max_threads: 8,
             ack_interval: 256,
             journal_dir: None,
             fsync: FsyncPolicy::EveryAck,
@@ -614,8 +610,7 @@ fn recover_dir(registry: &Arc<Registry>, dir: &std::path::Path, cfg: &ServeConfi
             obs.add(names::JOURNAL_TORN, 1);
             log!(Warn, "journal recovery: session {} had a torn tail; dropped", rs.session);
         }
-        let threads = (rs.opts.threads.max(1) as usize).min(cfg.max_threads);
-        let session = AnalysisSession::builder().threads(threads).recorder(obs.clone()).build();
+        let session = AnalysisSession::builder().recorder(obs.clone()).build();
         let mut checker = match StreamingChecker::with_session(rs.nprocs as usize, session) {
             Ok(c) => c,
             Err(e) => {
@@ -989,8 +984,7 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
 
     let ctx = match opened {
         Opened::New { nprocs, opts } => {
-            let threads = (opts.threads.max(1) as usize).min(cfg.max_threads);
-            let session = AnalysisSession::builder().threads(threads).recorder(obs.clone()).build();
+            let session = AnalysisSession::builder().recorder(obs.clone()).build();
             let mut checker = match StreamingChecker::with_session(nprocs, session) {
                 Ok(c) => c,
                 Err(e) => {
@@ -1009,7 +1003,7 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
 
             let guard = registry.register(nprocs);
             obs.add("serve_sessions_started_total", 1);
-            log!(Info, "session {} opened: {nprocs} rank(s), {threads} thread(s)", guard.id());
+            log!(Info, "session {} opened: {nprocs} rank(s)", guard.id());
             let id = guard.id();
             let journal = cfg.journal_dir.as_deref().filter(|_| opts.durable).and_then(|dir| {
                 // A dead disk downgrades durability to in-memory
@@ -1027,10 +1021,7 @@ fn handle_conn(conn: Box<dyn Conn>, registry: Arc<Registry>, cfg: &ServeConfig) 
                 return;
             }
             let mut flight = FlightRecorder::default();
-            flight.record(
-                "open",
-                format!("nprocs={nprocs} threads={threads} durable={}", opts.durable),
-            );
+            flight.record("open", format!("nprocs={nprocs} durable={}", opts.durable));
             let fresh = ParkedSession {
                 nprocs,
                 checker,

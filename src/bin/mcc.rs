@@ -163,11 +163,10 @@ struct CheckArgs {
 fn cmd_check(args: &Args) -> Outcome {
     let dir = args.operands()[0];
     let sink = ProfileSink::new(args.str("--profile"));
-    let threads = args.positive("--threads")?.unwrap_or(1);
     let check = CheckArgs {
         json: args.one_of("--format")? == Some("json"),
         timings: args.has("--timings"),
-        session: AnalysisSession::builder().threads(threads).recorder(sink.obs.clone()).build(),
+        session: AnalysisSession::builder().recorder(sink.obs.clone()).build(),
     };
     let streaming = args.has("--streaming");
     if args.has("--tolerate-truncation") {
@@ -192,15 +191,12 @@ fn cmd_check(args: &Args) -> Outcome {
 
     let report = check.session.run(&trace);
     eprintln!(
-        "analyzed {} events: {} DAG nodes, {} regions, {} epochs ({} unmatched sync) \
-         [engine {}, {} thread(s)]",
+        "analyzed {} events: {} DAG nodes, {} regions, {} epochs ({} unmatched sync)",
         report.stats.total_events,
         report.stats.dag_nodes,
         report.stats.regions,
         report.stats.epochs,
         report.stats.unmatched_sync,
-        check.session.engine(),
-        check.session.threads(),
     );
     sink.finish(report_exit(&report, check.json, check.timings))
 }
@@ -283,7 +279,6 @@ fn cmd_serve(args: &Args) -> Outcome {
     cfg.idle_timeout = args.positive("--idle-timeout-ms")?.map_or(cfg.idle_timeout, ms);
     cfg.write_timeout = args.positive("--write-timeout-ms")?.map(ms).or(cfg.write_timeout);
     cfg.tick = args.positive("--tick-ms")?.map_or(cfg.tick, ms);
-    cfg.max_threads = args.positive("--max-threads")?.unwrap_or(cfg.max_threads);
     cfg.ack_interval = args.positive("--ack-interval")?.unwrap_or(cfg.ack_interval);
     cfg.resume_grace = args.positive("--resume-grace-ms")?.map_or(cfg.resume_grace, ms);
     cfg.max_sessions = args.positive("--max-sessions")?.unwrap_or(cfg.max_sessions);
@@ -373,7 +368,6 @@ fn cmd_submit(args: &Args) -> Outcome {
     let sink = ProfileSink::new(args.str("--profile"));
     let addr = args.str("--addr").unwrap_or(DEFAULT_ADDR);
     let mut opts = SessionOpts::default();
-    opts.threads = args.positive("--threads")?.unwrap_or(opts.threads);
     opts.max_buffered = args.positive("--max-buffer")?.unwrap_or(opts.max_buffered);
     let mut cfg = client::SubmitCfg::default();
     cfg.prefer_binary = args.one_of("--codec")? != Some("json");

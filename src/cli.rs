@@ -91,7 +91,6 @@ pub static COMMANDS: &[Command] = &[
         operands: &["<trace-dir>"],
         about: "Analyze a trace directory written by the Profiler and print the findings.",
         flags: &[
-            opt("--threads", "N", "conflict-engine threads (default 1; same report at every N)"),
             FORMAT,
             switch("--timings", "add the per-phase `timings` object to the JSON report"),
             PROFILE,
@@ -150,7 +149,6 @@ pub static COMMANDS: &[Command] = &[
             opt("--idle-timeout-ms", "N", "salvage a silent session after N ms"),
             opt("--write-timeout-ms", "N", "give up on a peer that does not read for N ms"),
             opt("--tick-ms", "N", "janitor period"),
-            opt("--max-threads", "N", "cap on the analysis threads a session may ask for"),
             opt("--ack-interval", "N", "acknowledge every N events"),
             opt("--journal-dir", "DIR", "write-ahead journals for durable sessions"),
             opt("--fsync", "never|ack|always", "journal sync policy (default ack)"),
@@ -180,7 +178,6 @@ pub static COMMANDS: &[Command] = &[
                 Exit codes as for `mcc check`.",
         flags: &[
             ADDR,
-            opt("--threads", "N", "analysis threads to ask the daemon for"),
             opt("--max-buffer", "N", "buffered-event cap to ask the daemon for"),
             FORMAT,
             switch("--durable", "resumable session: retry through drops and daemon restarts"),

@@ -49,7 +49,6 @@
 //! .unwrap();
 //!
 //! let report = AnalysisSession::builder()
-//!     .threads(4)
 //!     .engine(Engine::Sweep)
 //!     .build()
 //!     .run(&result.trace.unwrap());

@@ -129,7 +129,7 @@ fn no_flag_is_silently_ignored() {
     let cases: &[(&[&str], &str)] = &[
         (&["check", "DIR", "--thread", "4"], "unknown flag `--thread`"),
         (&["check", "DIR", "--fromat", "json"], "unknown flag `--fromat`"),
-        (&["check", "DIR", "--threads"], "`--threads` expects a value"),
+        (&["explore", "fig2a", "--threads"], "`--threads` expects a value"),
         (&["demo", "emulate", "--procs", "banana"], "`--procs` expects a positive integer"),
         (&["explore", "fig2a", "--procs", "0"], "`--procs` expects a positive integer"),
         (&["submit", "DIR", "--retries", "5"], "`--retries` requires `--durable`"),
@@ -137,11 +137,11 @@ fn no_flag_is_silently_ignored() {
         (&["serve", "--max-bufer", "64"], "unknown flag `--max-bufer`"),
         (&["serve", "--mem-celing", "64"], "unknown flag `--mem-celing`"),
         // The other shapes `cli::parse` refuses.
-        (&["check", "DIR", "--threads", "--timings"], "`--threads` expects a value"),
+        (&["explore", "fig2a", "--threads", "--fixed"], "`--threads` expects a value"),
         (&["check", "DIR", "--timings", "--timings"], "`--timings` given more than once"),
         (&["check", "DIR", "EXTRA"], "unexpected argument `EXTRA`"),
         (&["check"], "missing <trace-dir>"),
-        (&["check", "DIR", "--threads", "0"], "`--threads` expects a positive integer"),
+        (&["explore", "fig2a", "--threads", "0"], "`--threads` expects a positive integer"),
         (&["check", "DIR", "--format", "xml"], "`--format` expects text|json"),
         (&["check", "DIR", "--seed", "3"], "`--seed` is a simulator knob"),
         (&["demo", "emulate", "--seed", "-1"], "`--seed` expects an unsigned integer"),
@@ -153,6 +153,10 @@ fn no_flag_is_silently_ignored() {
         (&["check", "DIR", "--naive"], "unknown flag `--naive`"),
         (&["check", "DIR", "--parallel"], "unknown flag `--parallel`"),
         (&["check", "DIR", "--engine", "naive"], "unknown flag `--engine`"),
+        // One analysis runs on one thread: the intra-check fan-out flags.
+        (&["check", "DIR", "--threads", "4"], "unknown flag `--threads`"),
+        (&["submit", "DIR", "--threads", "2"], "unknown flag `--threads`"),
+        (&["serve", "--max-threads", "2"], "unknown flag `--max-threads`"),
     ];
     for (argv, complaint) in cases {
         let out = mcc(argv);
@@ -297,16 +301,16 @@ fn the_table_documents_and_bounds_the_handlers() {
 /// The typed getters, on a well-formed argv.
 #[test]
 fn args_read_back_typed() {
-    let argv: Vec<String> =
-        ["dir", "--threads", "4", "--format", "json", "--timings"].map(String::from).to_vec();
+    let argv: Vec<String> = ["dir", "--format", "json", "--timings"].map(String::from).to_vec();
     let args = cli::parse(cli::command("check").unwrap(), &argv).ok().expect("well-formed");
     assert_eq!(args.operands(), ["dir"]);
-    assert_eq!(args.positive::<usize>("--threads").ok(), Some(Some(4)));
     assert_eq!(args.one_of("--format").ok(), Some(Some("json")));
     assert!(args.has("--timings") && !args.has("--streaming") && !args.wants_help());
     assert_eq!(args.str("--profile"), None);
     // A witness may start with a dash; only `--` ends a value.
-    let argv: Vec<String> = ["fig2a", "--replay", "-/c"].map(String::from).to_vec();
+    let argv: Vec<String> =
+        ["fig2a", "--threads", "4", "--replay", "-/c"].map(String::from).to_vec();
     let args = cli::parse(cli::command("explore").unwrap(), &argv).ok().expect("well-formed");
+    assert_eq!(args.positive::<usize>("--threads").ok(), Some(Some(4)));
     assert_eq!(args.str("--replay"), Some("-/c"));
 }

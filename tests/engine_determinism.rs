@@ -1,6 +1,6 @@
-//! Determinism of the sharded conflict engine: the `CheckReport` JSON must
-//! be byte-identical at every thread count, on every bug archetype, in
-//! both complete and degraded mode, and must match the naive engine.
+//! The sharded sweep engine against its oracle: the `CheckReport` JSON
+//! must be byte-identical to the naive all-pairs engine's on every bug
+//! archetype, in both complete and degraded mode.
 
 use mc_checker::apps::bugs::{self, trace_of};
 use mc_checker::prelude::*;
@@ -25,31 +25,20 @@ fn archetype_traces() -> Vec<(&'static str, Trace)> {
 }
 
 #[test]
-fn report_json_identical_across_thread_counts() {
-    for (name, trace) in archetype_traces() {
-        let baseline = AnalysisSession::builder().threads(1).build().run(&trace).to_json();
-        assert!(baseline.contains("\"schema_version\": 1"), "{name}");
-        for threads in [2usize, 4] {
-            let got = AnalysisSession::builder().threads(threads).build().run(&trace).to_json();
-            assert_eq!(got, baseline, "{name}: JSON diverged at {threads} threads");
-        }
-    }
-}
-
-#[test]
 fn sweep_matches_naive_on_every_archetype() {
     for (name, trace) in archetype_traces() {
-        let sweep = AnalysisSession::builder().threads(4).build().run(&trace);
+        let sweep = AnalysisSession::new().run(&trace).to_json();
+        assert!(sweep.contains("\"schema_version\": 1"), "{name}");
         let naive = AnalysisSession::builder().engine(Engine::Naive).build().run(&trace);
-        assert_eq!(sweep.to_json(), naive.to_json(), "{name}: sweep and naive engines disagree");
+        assert_eq!(sweep, naive.to_json(), "{name}: sweep and naive engines disagree");
     }
 }
 
 #[test]
-fn degraded_report_json_identical_across_thread_counts() {
+fn degraded_sweep_matches_naive_on_every_archetype() {
     // Damage the on-disk trace (truncate one rank mid-line), read it back
-    // tolerantly, and require byte-identical degraded reports at every
-    // thread count.
+    // tolerantly, and require byte-identical degraded reports from both
+    // engines.
     for (name, trace) in archetype_traces() {
         let dir =
             std::env::temp_dir().join(format!("mcc-it-engine-det-{name}-{}", std::process::id()));
@@ -62,22 +51,19 @@ fn degraded_report_json_identical_across_thread_counts() {
         assert!(!health.is_complete(), "{name}");
         fs::remove_dir_all(&dir).ok();
 
-        let report_at = |threads: usize| {
+        let report_of = |engine: Engine| {
             let mut report = AnalysisSession::builder()
-                .threads(threads)
+                .engine(engine)
                 .tolerate_truncation(true)
                 .build()
                 .run(&damaged);
             report.mark_degraded();
             report.to_json()
         };
-        let baseline = report_at(1);
-        for threads in [2usize, 4] {
-            assert_eq!(
-                report_at(threads),
-                baseline,
-                "{name}: degraded JSON diverged at {threads} threads"
-            );
-        }
+        assert_eq!(
+            report_of(Engine::Sweep),
+            report_of(Engine::Naive),
+            "{name}: degraded sweep and naive reports disagree"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Observability invariants: pipeline metric snapshots must be
-//! byte-identical at every thread count (counters commute, durations are
-//! kept out of snapshots), and the Chrome-trace export must be valid
-//! JSON whose span set covers the whole analysis pipeline.
+//! byte-identical from run to run (durations are kept out of snapshots),
+//! and the Chrome-trace export must be valid JSON whose span set covers
+//! the whole analysis pipeline.
 
 use mc_checker::apps::bugs::{self, trace_of};
 use mc_checker::prelude::*;
@@ -24,39 +24,31 @@ const ARCHETYPES: [(&str, u32, BugBody); 8] = [
 ];
 
 /// Runs one analysis into a fresh recorder and renders the snapshot.
-fn snapshot_of(trace: &Trace, threads: usize, engine: Engine) -> String {
+fn snapshot_of(trace: &Trace, engine: Engine) -> String {
     let obs = RecorderHandle::enabled();
-    AnalysisSession::builder()
-        .threads(threads)
-        .engine(engine)
-        .recorder(obs.clone())
-        .build()
-        .run(trace);
+    AnalysisSession::builder().engine(engine).recorder(obs.clone()).build().run(trace);
     obs.snapshot().render()
 }
 
 #[test]
-fn metric_snapshots_identical_across_thread_counts() {
+fn metric_snapshots_identical_across_runs() {
     for (name, nprocs, body) in ARCHETYPES {
         let trace = trace_of(nprocs, 0xdead, body);
-        let baseline = snapshot_of(&trace, 1, Engine::Sweep);
-        assert!(baseline.contains("mcc_events_total"), "{name}: {baseline}");
-        assert!(baseline.contains("mcc_shards_total"), "{name}: {baseline}");
+        let sweep = snapshot_of(&trace, Engine::Sweep);
+        assert!(sweep.contains("mcc_events_total"), "{name}: {sweep}");
+        assert!(sweep.contains("mcc_shards_total"), "{name}: {sweep}");
         // The byte-identity contract covers histograms too: the sweep
-        // engine populates the shard-size distribution, whose buckets
-        // must not depend on how many workers drained the shards.
+        // engine populates the shard-size distribution.
         assert!(
-            baseline.contains("mcc_shard_items_bucket{le=\"+Inf\"}"),
-            "{name}: shard_items histogram missing: {baseline}"
+            sweep.contains("mcc_shard_items_bucket{le=\"+Inf\"}"),
+            "{name}: shard_items histogram missing: {sweep}"
         );
-        assert!(baseline.contains("mcc_shard_items_count"), "{name}: {baseline}");
-        for threads in [2usize, 4] {
-            assert_eq!(
-                snapshot_of(&trace, threads, Engine::Sweep),
-                baseline,
-                "{name}: metric snapshot diverged at {threads} threads"
-            );
-        }
+        assert!(sweep.contains("mcc_shard_items_count"), "{name}: {sweep}");
+        assert_eq!(snapshot_of(&trace, Engine::Sweep), sweep, "{name}: sweep snapshot diverged");
+        let naive = snapshot_of(&trace, Engine::Naive);
+        assert_eq!(snapshot_of(&trace, Engine::Naive), naive, "{name}: naive snapshot diverged");
+        strict_prometheus_parse(&sweep);
+        strict_prometheus_parse(&naive);
     }
 }
 
@@ -107,26 +99,17 @@ fn interval_pairs_count_only_writer_involved_overlaps() {
     }
     let trace = b.build();
 
-    let run = |threads: usize, engine: Engine| {
+    let run = |engine: Engine| {
         let obs = RecorderHandle::enabled();
-        let report = AnalysisSession::builder()
-            .threads(threads)
-            .engine(engine)
-            .recorder(obs.clone())
-            .build()
-            .run(&trace);
+        let report =
+            AnalysisSession::builder().engine(engine).recorder(obs.clone()).build().run(&trace);
         (report.to_json(), obs.snapshot())
     };
-    let (naive_json, _) = run(1, Engine::Naive);
-    let (baseline_json, baseline) = run(1, Engine::Sweep);
-    assert_eq!(baseline_json, naive_json, "the filter must not change the report");
-    assert_eq!(baseline.counters["findings_error_total"], 3);
-    assert_eq!(baseline.counters["interval_pairs_total"], 3, "Get/Get overlaps were enumerated");
-    for threads in [2usize, 4] {
-        let (json, snapshot) = run(threads, Engine::Sweep);
-        assert_eq!(json, naive_json, "report diverged at {threads} threads");
-        assert_eq!(snapshot.render(), baseline.render(), "metrics diverged at {threads} threads");
-    }
+    let (naive_json, _) = run(Engine::Naive);
+    let (sweep_json, sweep) = run(Engine::Sweep);
+    assert_eq!(sweep_json, naive_json, "the filter must not change the report");
+    assert_eq!(sweep.counters["findings_error_total"], 3);
+    assert_eq!(sweep.counters["interval_pairs_total"], 3, "Get/Get overlaps were enumerated");
 }
 
 /// A strict line-level parser for the Prometheus text exposition the
@@ -227,7 +210,7 @@ fn strict_prometheus_parse(text: &str) -> (usize, usize) {
 fn prometheus_exposition_is_strictly_well_formed() {
     let trace = trace_of(4, 0xdead, bugs::adlb::buggy);
     let obs = RecorderHandle::enabled();
-    AnalysisSession::builder().threads(4).recorder(obs.clone()).build().run(&trace);
+    AnalysisSession::builder().recorder(obs.clone()).build().run(&trace);
     // The serve layer feeds the same recorder; emulate its latency
     // observations so every sample shape (counter, histogram bucket,
     // sum, count, gauge) appears in the parsed document.
@@ -252,7 +235,7 @@ fn prometheus_exposition_is_strictly_well_formed() {
 fn chrome_trace_is_valid_json_and_covers_the_pipeline() {
     let trace = trace_of(4, 0xdead, bugs::adlb::buggy);
     let obs = RecorderHandle::enabled();
-    AnalysisSession::builder().threads(4).recorder(obs.clone()).build().run(&trace);
+    AnalysisSession::builder().recorder(obs.clone()).build().run(&trace);
     let json = obs.to_chrome_trace();
     let doc = serde_json::parse_value_str(&json).expect("chrome trace must parse as JSON");
 
@@ -310,30 +293,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The snapshot contract holds for any archetype at any seed, and
-    /// for both engines at their own baselines — histogram buckets
-    /// (`shard_items` and anything else a run observes) included, since
-    /// the comparison is over the full rendered exposition.
+    /// for both engines — histogram buckets (`shard_items` and anything
+    /// else a run observes) included, since the comparison is over the
+    /// full rendered exposition.
     #[test]
-    fn metric_snapshots_thread_invariant_at_any_seed(case in 0..8usize, seed in 0..u64::MAX) {
+    fn metric_snapshots_run_invariant_at_any_seed(case in 0..8usize, seed in 0..u64::MAX) {
         let (name, nprocs, body) = ARCHETYPES[case];
         let trace = trace_of(nprocs, seed, body);
-        let baseline = snapshot_of(&trace, 1, Engine::Sweep);
+        let sweep = snapshot_of(&trace, Engine::Sweep);
         prop_assert!(
-            baseline.contains("mcc_shard_items_bucket"),
-            "{}: histogram missing from sweep baseline", name
+            sweep.contains("mcc_shard_items_bucket"),
+            "{}: histogram missing from sweep snapshot", name
         );
-        for threads in [2usize, 4] {
-            let got = snapshot_of(&trace, threads, Engine::Sweep);
-            prop_assert_eq!(&got, &baseline, "{} diverged at {} threads", name, threads);
-        }
-        let naive1 = snapshot_of(&trace, 1, Engine::Naive);
-        for threads in [2usize, 4] {
-            let got = snapshot_of(&trace, threads, Engine::Naive);
-            prop_assert_eq!(&got, &naive1, "{} naive diverged at {} threads", name, threads);
-        }
+        prop_assert_eq!(&snapshot_of(&trace, Engine::Sweep), &sweep, "{} diverged", name);
+        let naive = snapshot_of(&trace, Engine::Naive);
+        prop_assert_eq!(&snapshot_of(&trace, Engine::Naive), &naive, "{} naive diverged", name);
         // Both expositions must survive the strict parser whatever the
         // seed produced.
-        strict_prometheus_parse(&baseline);
-        strict_prometheus_parse(&naive1);
+        strict_prometheus_parse(&sweep);
+        strict_prometheus_parse(&naive);
     }
 }

@@ -141,7 +141,6 @@ proptest! {
             AnalysisSession::new(),
             AnalysisSession::builder().engine(Engine::Naive).build(),
             AnalysisSession::builder().partition_regions(false).build(),
-            AnalysisSession::builder().threads(4).build(),
         ] {
             let report = session.run(&trace);
             prop_assert_eq!(report.diagnostics.len(), 0, "{}", report.render());
@@ -158,20 +157,14 @@ proptest! {
     }
 
     /// Differential: the sweep engine and the naive all-pairs engine agree
-    /// on every random trace, at any thread count, finding for finding.
+    /// on every random trace, finding for finding.
     #[test]
     fn sweep_and_naive_engines_agree(prog in arb_program(), seed in 0u64..1000) {
         let trace = run_safe(&prog, seed);
         let naive = AnalysisSession::builder().engine(Engine::Naive).build().run(&trace);
-        for threads in [1usize, 4] {
-            let sweep = AnalysisSession::builder()
-                .engine(Engine::Sweep)
-                .threads(threads)
-                .build()
-                .run(&trace);
-            prop_assert_eq!(&sweep.diagnostics, &naive.diagnostics);
-            prop_assert_eq!(sweep.to_json(), naive.to_json());
-        }
+        let sweep = AnalysisSession::builder().engine(Engine::Sweep).build().run(&trace);
+        prop_assert_eq!(&sweep.diagnostics, &naive.diagnostics);
+        prop_assert_eq!(sweep.to_json(), naive.to_json());
     }
 
     /// Injecting a same-slot concurrent writer pair into an otherwise safe

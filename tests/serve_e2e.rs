@@ -413,15 +413,23 @@ fn health_verb_reports_live_counters() {
 
 /// The client may ask for a lower cap than the server's; the request is
 /// honored, and the stats document remains parseable JSON throughout.
+/// The other thing a `Hello` can ask for, `threads`, is inert: a v1 peer
+/// that still sends one is welcomed and gets the default session's report.
 #[test]
 fn client_requested_cap_and_stats_json_shape() {
     let (addr, handle, join) = start_server(quick_cfg());
 
     let trace = trace_of(2, 0xdead, bugs::emulate::buggy);
-    let opts = SessionOpts { threads: 2, max_buffered: 4, ..SessionOpts::default() };
+    let opts = SessionOpts { max_buffered: 4, ..SessionOpts::default() };
     let report = client::submit_tcp(&addr, &trace, &opts).expect("submit");
     assert_eq!(report.confidence, Confidence::Degraded);
     assert!(report.peak_buffered <= 4);
+
+    let default = client::submit_tcp(&addr, &trace, &SessionOpts::default()).expect("submit");
+    assert!(!default.findings.is_empty());
+    let opts = SessionOpts { threads: 8, ..SessionOpts::default() };
+    let eight = client::submit_tcp(&addr, &trace, &opts).expect("threads: 8 is welcomed");
+    assert_eq!(eight.to_json(), default.to_json(), "`threads` must not change the report");
 
     let stats = client::stats_tcp(&addr).expect("stats");
     let parsed = serde_json::parse_value_str(&stats).expect("stats must be valid JSON");

@@ -75,7 +75,6 @@ fn detection_independent_of_checker_options() {
         for (name, session) in [
             ("naive engine", AnalysisSession::builder().engine(Engine::Naive).build()),
             ("no region partitioning", AnalysisSession::builder().partition_regions(false).build()),
-            ("4 threads", AnalysisSession::builder().threads(4).build()),
             ("naive matching", AnalysisSession::builder().naive_matching(true).build()),
         ] {
             let n = session.run(&trace).diagnostics.len();
