@@ -6,26 +6,21 @@
 //! arbitrary byte must come back through recovery degraded, never as a
 //! panic or a silently different report.
 
-use mc_checker::apps::bugs::{self, trace_of};
+mod common;
+use common::{scratch, start_server, wait_until, write_json};
+
+use mc_checker::apps::bugs::recovery_gallery::{self, RecoveryCase};
+use mc_checker::apps::bugs::{self, trace_of, trace_under_faults};
 use mc_checker::core::streaming::StreamingChecker;
 use mc_checker::core::Confidence;
 use mc_checker::prelude::*;
 use mc_checker::serve::journal::{read_journal, FsyncPolicy, Journal, JournalRecord};
-use mc_checker::serve::proto::{write_frame_with, Frame, FrameReader, ProtoError, SessionOpts};
+use mc_checker::serve::proto::{Frame, FrameReader, ProtoError, SessionOpts};
 use mc_checker::serve::CodecKind;
-use mc_checker::serve::{
-    client, ChaosProxy, FaultKind, FaultSchedule, ServeConfig, Server, ServerHandle,
-};
+use mc_checker::serve::{client, ChaosProxy, FaultKind, FaultSchedule, ServeConfig, Server};
 use mc_checker::types::Rank;
 use proptest::prelude::*;
 use std::fs;
-
-/// These tests drive the protocol by hand; everything they send is
-/// handshake/control traffic, which is always JSON on the wire.
-fn write_frame(w: &mut impl std::io::Write, f: &Frame) -> std::io::Result<()> {
-    write_frame_with(w, f, CodecKind::Json)
-}
-
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -46,14 +41,6 @@ fn archetypes() -> [(&'static str, u32, BugBody); 8] {
         ("pingpong", 2, bugs::pingpong::buggy),
         ("fig2c", 3, bugs::archetypes::fig2c),
     ]
-}
-
-fn start_server(cfg: ServeConfig) -> (String, ServerHandle, thread::JoinHandle<()>) {
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind an ephemeral port");
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let join = thread::spawn(move || server.run().expect("serve loop"));
-    (addr, handle, join)
 }
 
 /// Daemon config for chaos runs: quick ticks, frequent acks, generous
@@ -93,7 +80,7 @@ fn wire_len(trace: &Trace) -> u64 {
 /// the final report is exactly the batch report.
 fn run_through_fault(name: &str, trace: &Trace, schedule: FaultSchedule, seed: u64) {
     let batch = AnalysisSession::new().run(trace).diagnostics;
-    let (addr, handle, join) = start_server(chaos_cfg());
+    let (addr, handle, _, join) = start_server(chaos_cfg());
     let mut proxy = ChaosProxy::start(&addr, schedule).expect("start chaos proxy");
 
     let (report, stats) = client::submit_durable_tcp(
@@ -154,13 +141,13 @@ fn sixteen_seeds_per_fault_on_one_archetype() {
 fn duplicate_resend_is_idempotent() {
     let trace = trace_of(4, 0xdead, bugs::emulate::buggy as BugBody);
     let batch = AnalysisSession::new().run(&trace).diagnostics;
-    let (addr, handle, join) = start_server(chaos_cfg());
+    let (addr, handle, _, join) = start_server(chaos_cfg());
 
     let stream = TcpStream::connect(&addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
     let mut reader = FrameReader::new(stream);
     let opts = SessionOpts { durable: true, ..SessionOpts::default() };
-    write_frame(
+    write_json(
         reader.get_mut(),
         &Frame::Hello { version: mc_checker::serve::PROTOCOL_VERSION, nprocs: 4, opts },
     )
@@ -176,7 +163,7 @@ fn duplicate_resend_is_idempotent() {
         let _ = round;
         drain_acks(&mut reader);
     }
-    write_frame(reader.get_mut(), &Frame::Finish).unwrap();
+    write_json(reader.get_mut(), &Frame::Finish).unwrap();
 
     let report = loop {
         match read_progress(&mut reader) {
@@ -222,13 +209,6 @@ fn drain_acks<R: std::io::Read>(reader: &mut FrameReader<R>) {
     }
 }
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("mcc-chaos-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&d);
-    fs::create_dir_all(&d).unwrap();
-    d
-}
-
 /// The crash story end to end, in process: a durable session streams
 /// half its events against daemon A (journaling with fsync=always), the
 /// connection dies, daemon A shuts down entirely; daemon B recovers the
@@ -238,7 +218,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 fn daemon_restart_recovers_journal_and_report_matches_batch() {
     let trace = trace_of(4, 0xdead, bugs::mpi3_queue::buggy as BugBody);
     let batch = AnalysisSession::new().run(&trace).diagnostics;
-    let dir = tmpdir("restart");
+    let dir = scratch("chaos-restart");
     let cfg = |recover| ServeConfig {
         journal_dir: Some(dir.clone()),
         fsync: FsyncPolicy::Always,
@@ -261,7 +241,7 @@ fn daemon_restart_recovers_journal_and_report_matches_batch() {
         stream.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
         let mut reader = FrameReader::new(stream);
         let opts = SessionOpts { durable: true, ..SessionOpts::default() };
-        write_frame(
+        write_json(
             reader.get_mut(),
             &Frame::Hello { version: mc_checker::serve::PROTOCOL_VERSION, nprocs: 4, opts },
         )
@@ -304,7 +284,7 @@ fn daemon_restart_recovers_journal_and_report_matches_batch() {
     let stream = TcpStream::connect(&addr_b).unwrap();
     stream.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
     let mut reader = FrameReader::new(stream);
-    write_frame(reader.get_mut(), &Frame::Resume { session: session_id, from_seq: 0 }).unwrap();
+    write_json(reader.get_mut(), &Frame::Resume { session: session_id, from_seq: 0 }).unwrap();
     assert!(matches!(read_progress(&mut reader), Some(Frame::Welcome { .. })));
     let through = match read_progress(&mut reader) {
         Some(Frame::Ack { through }) => through,
@@ -320,7 +300,7 @@ fn daemon_restart_recovers_journal_and_report_matches_batch() {
         reader.get_mut().flush().unwrap();
     }
     drain_acks(&mut reader);
-    write_frame(reader.get_mut(), &Frame::Finish).unwrap();
+    write_json(reader.get_mut(), &Frame::Finish).unwrap();
     let report = loop {
         match read_progress(&mut reader) {
             Some(Frame::Report { json }) => {
@@ -368,7 +348,7 @@ fn journal_per_event(j: &mut Journal, trace: &Trace) -> usize {
 fn finished_journal_recovers_to_a_retired_report() {
     let trace = trace_of(2, 0xdead, bugs::pingpong::buggy as BugBody);
     let batch = AnalysisSession::new().run(&trace).diagnostics;
-    let dir = tmpdir("retired");
+    let dir = scratch("chaos-retired");
 
     // Write a complete journal by hand — Open, every event, Finish.
     let opts = SessionOpts { durable: true, ..SessionOpts::default() };
@@ -378,11 +358,11 @@ fn finished_journal_recovers_to_a_retired_report() {
     drop(j);
 
     let cfg = ServeConfig { journal_dir: Some(dir.clone()), recover: true, ..chaos_cfg() };
-    let (addr, handle, join) = start_server(cfg);
+    let (addr, handle, _, join) = start_server(cfg);
     let stream = TcpStream::connect(&addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
     let mut reader = FrameReader::new(stream);
-    write_frame(reader.get_mut(), &Frame::Resume { session: 7, from_seq: 0 }).unwrap();
+    write_json(reader.get_mut(), &Frame::Resume { session: 7, from_seq: 0 }).unwrap();
     assert!(matches!(read_progress(&mut reader), Some(Frame::Welcome { .. })));
     let report = loop {
         match read_progress(&mut reader) {
@@ -407,33 +387,20 @@ fn finished_journal_recovers_to_a_retired_report() {
 /// does; here we check the frame itself).
 #[test]
 fn resume_of_unknown_session_draws_gone() {
-    let (addr, handle, join) = start_server(chaos_cfg());
+    let (addr, handle, _, join) = start_server(chaos_cfg());
     let stream = TcpStream::connect(&addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
     let mut reader = FrameReader::new(stream);
-    write_frame(reader.get_mut(), &Frame::Resume { session: 999, from_seq: 0 }).unwrap();
+    write_json(reader.get_mut(), &Frame::Resume { session: 999, from_seq: 0 }).unwrap();
     assert!(matches!(read_progress(&mut reader), Some(Frame::Gone { session: 999 })));
     handle.shutdown();
     join.join().unwrap();
 }
 
-fn wait_until(mut f: impl FnMut() -> bool, timeout: Duration) -> bool {
-    let start = Instant::now();
-    loop {
-        if f() {
-            return true;
-        }
-        if start.elapsed() >= timeout {
-            return false;
-        }
-        thread::sleep(Duration::from_millis(25));
-    }
-}
-
 /// Writes an UNFINISHED journal of the adlb bug (the crash-recovery
 /// workhorse case) and returns its path plus the events written.
 fn written_journal(tag: &str) -> (PathBuf, PathBuf, usize) {
-    let dir = tmpdir(tag);
+    let dir = scratch(&format!("chaos-{tag}"));
     let trace = trace_of(2, 5, bugs::adlb::buggy as BugBody);
     let opts = SessionOpts { durable: true, ..SessionOpts::default() };
     let mut j = Journal::create(&dir, 3, 2, &opts, 0, FsyncPolicy::Never).unwrap();
@@ -521,23 +488,23 @@ fn recover_over_damaged_directory_never_panics() {
 }
 
 /// The failure-aware pipeline through the crash story: a *rank-failure*
-/// session (the `pingpong_reexpose` recovery workload) streams durably,
+/// session (each recovery-gallery workload in turn) streams durably,
 /// daemon A dies mid-session, daemon B recovers the journal and serves
 /// the resume. The recovered report must carry `recovered` confidence
 /// and be byte-identical to an uninterrupted daemon run and to batch.
 #[test]
 fn daemon_restart_preserves_a_rank_failure_report() {
-    use mc_checker::apps::bugs::{recovery_gallery, trace_under_faults};
+    recovery_gallery::gallery().into_iter().for_each(restart_mid_recovery);
+}
 
-    let (spec, faults, body) = recovery_gallery::gallery().remove(1);
-    assert_eq!(spec.name, "pingpong_reexpose");
+fn restart_mid_recovery((spec, faults, body): RecoveryCase) {
     let (trace, error) = trace_under_faults(spec.nprocs, 11, faults(), body);
-    assert!(error.is_none(), "survivable failure is not an error");
+    assert!(error.is_none(), "{}: survivable failure is not an error", spec.name);
     let batch = AnalysisSession::new().run(&trace);
-    assert_eq!(batch.confidence, Confidence::Recovered);
+    assert_eq!(batch.confidence, Confidence::Recovered, "{}", spec.name);
 
     // Uninterrupted daemon run, for the byte-identity baseline.
-    let (addr0, handle0, join0) = start_server(chaos_cfg());
+    let (addr0, handle0, _, join0) = start_server(chaos_cfg());
     let (uninterrupted, _stats) = client::submit_durable_tcp(
         &addr0,
         &trace,
@@ -550,7 +517,7 @@ fn daemon_restart_preserves_a_rank_failure_report() {
     assert_eq!(uninterrupted.confidence, Confidence::Recovered, "session verdict is recovered");
     assert_eq!(uninterrupted.findings, batch.diagnostics);
 
-    let dir = tmpdir("rankfail-restart");
+    let dir = scratch(&format!("chaos-rankfail-restart-{}", spec.name));
     // The gallery trace is small; ack every other event so a provably
     // journaled prefix exists before the daemon dies.
     let cfg = |recover| ServeConfig {
@@ -576,7 +543,7 @@ fn daemon_restart_preserves_a_rank_failure_report() {
         stream.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
         let mut reader = FrameReader::new(stream);
         let opts = SessionOpts { durable: true, ..SessionOpts::default() };
-        write_frame(
+        write_json(
             reader.get_mut(),
             &Frame::Hello {
                 version: mc_checker::serve::PROTOCOL_VERSION,
@@ -618,7 +585,7 @@ fn daemon_restart_preserves_a_rank_failure_report() {
     let stream = TcpStream::connect(&addr_b).unwrap();
     stream.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
     let mut reader = FrameReader::new(stream);
-    write_frame(reader.get_mut(), &Frame::Resume { session: session_id, from_seq: 0 }).unwrap();
+    write_json(reader.get_mut(), &Frame::Resume { session: session_id, from_seq: 0 }).unwrap();
     assert!(matches!(read_progress(&mut reader), Some(Frame::Welcome { .. })));
     let through = match read_progress(&mut reader) {
         Some(Frame::Ack { through }) => through,
@@ -632,7 +599,7 @@ fn daemon_restart_preserves_a_rank_failure_report() {
         reader.get_mut().flush().unwrap();
     }
     drain_acks(&mut reader);
-    write_frame(reader.get_mut(), &Frame::Finish).unwrap();
+    write_json(reader.get_mut(), &Frame::Finish).unwrap();
     let report = loop {
         match read_progress(&mut reader) {
             Some(Frame::Report { json }) => {
@@ -649,11 +616,12 @@ fn daemon_restart_preserves_a_rank_failure_report() {
     assert_eq!(
         report.to_json(),
         uninterrupted.to_json(),
-        "rank-failure report must be byte-identical across the daemon restart"
+        "{}: rank-failure report must be byte-identical across the daemon restart",
+        spec.name
     );
     let a = serde_json::to_string(&report.findings).unwrap();
     let b = serde_json::to_string(&batch.diagnostics).unwrap();
-    assert_eq!(a, b, "recovered report not byte-identical to batch");
+    assert_eq!(a, b, "{}: recovered report not byte-identical to batch", spec.name);
 
     handle_b.shutdown();
     join_b.join().unwrap();

@@ -4,9 +4,11 @@
 //! silently ignored, and of the daemon and explore round trips that used
 //! to live in CI shell.
 
+mod common;
+use common::scratch;
+
 use mc_checker::cli;
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 
 /// Runs `mcc` with `args` to completion.
@@ -24,14 +26,6 @@ fn stdout(out: &Output) -> String {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
-}
-
-/// A scratch directory private to one test, emptied on entry.
-fn scratch(test: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-{test}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
 }
 
 /// Records `demo <args>` into `dir/name`; returns the trace path and the
@@ -87,7 +81,7 @@ impl Drop for Daemon {
 /// schedule, so no CLI invocation exhausts a budget cleanly.)
 #[test]
 fn exit_code_contract_end_to_end() {
-    let dir = scratch("contract");
+    let dir = scratch("cli-contract");
     let recorded = [
         ("buggy", &["emulate"][..], 1, 1),
         ("clean", &["emulate", "--fixed"], 0, 0),
@@ -174,7 +168,7 @@ fn no_flag_is_silently_ignored() {
 /// all returning the same report bytes.
 #[test]
 fn serve_round_trip() {
-    let dir = scratch("serve");
+    let dir = scratch("cli-serve");
     let (buggy, _) = record(&dir, "buggy", &["emulate"]);
     let (clean, _) = record(&dir, "clean", &["emulate", "--fixed"]);
     let daemon = Daemon::start(&[]);
@@ -296,6 +290,28 @@ fn the_table_documents_and_bounds_the_handlers() {
         .filter(|(name, _)| name.chars().all(|c| c.is_ascii_lowercase() || c == '-'))
         .count();
     assert_eq!(literals, declared_long, "mcc.rs names a `--flag` no row declares");
+}
+
+/// `crates/bench` holds the paper-reproduction bins and nothing else:
+/// the `--bin NAME` lines of README's evaluation block are exactly the
+/// files in `crates/bench/src/bin/`.
+#[test]
+fn readme_lists_exactly_the_paper_bins() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/");
+    let readme = std::fs::read_to_string(format!("{root}README.md")).unwrap();
+    let block = readme
+        .split_once("## Reproducing the paper's evaluation\n")
+        .map(|(_, rest)| rest.split_once("\n## ").map_or(rest, |(block, _)| block))
+        .expect("README has the evaluation section");
+    let mut listed: Vec<&str> =
+        block.split("--bin ").skip(1).filter_map(|rest| rest.split_whitespace().next()).collect();
+    listed.sort_unstable();
+    let mut bins: Vec<String> = std::fs::read_dir(format!("{root}crates/bench/src/bin"))
+        .unwrap()
+        .map(|e| e.unwrap().path().file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    bins.sort_unstable();
+    assert_eq!(listed, bins, "README's evaluation block and crates/bench/src/bin disagree");
 }
 
 /// The typed getters, on a well-formed argv.

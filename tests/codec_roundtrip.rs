@@ -6,6 +6,9 @@
 //! and journals written by the JSON-only builds replay — including into
 //! `mcc serve --recover` — without any flag.
 
+mod common;
+use common::start_server;
+
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::OnceLock;
@@ -21,7 +24,7 @@ use mc_checker::serve::proto::{
     decode_frame, encode_frame_with, EventBatch, Frame, FrameReader, ProtoError, SessionOpts,
     PROTOCOL_VERSION,
 };
-use mc_checker::serve::{ServeConfig, Server, ServerHandle, SessionReport};
+use mc_checker::serve::{ServeConfig, Server, SessionReport};
 use mc_checker::types::{EventKind, SourceLoc};
 use proptest::prelude::*;
 
@@ -194,14 +197,6 @@ proptest! {
 // Cross-codec end-to-end equality
 // ---------------------------------------------------------------------------
 
-fn start_server(cfg: ServeConfig) -> (String, ServerHandle, std::thread::JoinHandle<()>) {
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind an ephemeral port");
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("serve loop"));
-    (addr, handle, join)
-}
-
 const JSON_CFG: SubmitCfg = SubmitCfg { batch_size: 1, prefer_binary: false };
 const BINARY_CFG: SubmitCfg = SubmitCfg { batch_size: 64, prefer_binary: true };
 
@@ -210,7 +205,7 @@ const BINARY_CFG: SubmitCfg = SubmitCfg { batch_size: 64, prefer_binary: true };
 /// reports must be byte-identical.
 #[test]
 fn gallery_reports_are_byte_identical_across_codecs() {
-    let (addr, handle, join) = start_server(ServeConfig::default());
+    let (addr, handle, _, join) = start_server(ServeConfig::default());
     for (name, nprocs, body) in archetypes() {
         let trace = trace_of(nprocs, 0xdead, body);
         let opts = SessionOpts::default();
@@ -240,7 +235,7 @@ fn gallery_reports_are_byte_identical_across_codecs() {
 /// to JSON cleanly — same session flow, same report.
 #[test]
 fn binary_client_falls_back_against_a_json_only_server() {
-    let (addr, handle, join) =
+    let (addr, handle, _, join) =
         start_server(ServeConfig { no_binary: true, ..ServeConfig::default() });
     let trace = trace_of(2, 0xdead, bugs::pingpong::buggy);
     let opts = SessionOpts::default();
@@ -368,7 +363,7 @@ fn every_wire_shape_is_the_same_session() {
             ..ServeConfig::default()
         };
         let recorder = cfg.recorder.clone();
-        let (addr, handle, join) = start_server(cfg);
+        let (addr, handle, _, join) = start_server(cfg);
 
         // First leg: events [0, cut), then the client dies.
         let mut reader = connect(&addr);

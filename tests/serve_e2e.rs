@@ -3,61 +3,23 @@
 //! degradation, and salvage of sessions that die mid-stream — with the
 //! supervisor's `STATS` verb proving no session ever leaks.
 
+mod common;
+use common::{json_field, start_server, wait_until, write_json};
+
 use mc_checker::apps::bugs::{self, trace_of};
 use mc_checker::core::Confidence;
 use mc_checker::prelude::*;
-use mc_checker::serve::proto::{
-    write_frame_with, Frame, FrameReader, SessionOpts, PROTOCOL_VERSION,
-};
-use mc_checker::serve::CodecKind;
-use mc_checker::serve::{client, ServeConfig, Server, ServerHandle};
+use mc_checker::serve::proto::{Frame, FrameReader, SessionOpts, PROTOCOL_VERSION};
+use mc_checker::serve::{client, ServeConfig};
 use std::net::TcpStream;
 use std::thread;
-use std::time::{Duration, Instant};
-
-/// These tests drive the protocol by hand; everything they send is
-/// handshake/control traffic, which is always JSON on the wire.
-fn write_frame(w: &mut impl std::io::Write, f: &Frame) -> std::io::Result<()> {
-    write_frame_with(w, f, CodecKind::Json)
-}
-
-/// Starts an in-process daemon with test-friendly timeouts; returns its
-/// address and a shutdown handle (the server thread joins on drop of the
-/// test, via shutdown).
-fn start_server(cfg: ServeConfig) -> (String, ServerHandle, thread::JoinHandle<()>) {
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind an ephemeral port");
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let join = thread::spawn(move || server.run().expect("serve loop"));
-    (addr, handle, join)
-}
+use std::time::Duration;
 
 fn quick_cfg() -> ServeConfig {
     ServeConfig {
         tick: Duration::from_millis(20),
         idle_timeout: Duration::from_millis(400),
         ..ServeConfig::default()
-    }
-}
-
-/// Reads the integer value of `"key":N` out of a stats document.
-fn json_field(stats: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = stats.find(&needle)? + needle.len();
-    let digits: String = stats[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-fn wait_until(mut f: impl FnMut() -> bool, timeout: Duration) -> bool {
-    let start = Instant::now();
-    loop {
-        if f() {
-            return true;
-        }
-        if start.elapsed() >= timeout {
-            return false;
-        }
-        thread::sleep(Duration::from_millis(25));
     }
 }
 
@@ -75,7 +37,7 @@ fn concurrent_sessions_each_get_their_batch_report() {
         ("adlb", 4, bugs::adlb::buggy),
         ("pingpong", 2, bugs::pingpong::buggy),
     ];
-    let (addr, handle, join) = start_server(quick_cfg());
+    let (addr, handle, _, join) = start_server(quick_cfg());
 
     let workers: Vec<_> = cases
         .iter()
@@ -117,19 +79,19 @@ fn concurrent_sessions_each_get_their_batch_report() {
 /// session as salvaged (never leaked) and counts its events.
 #[test]
 fn killed_session_is_salvaged_not_leaked() {
-    let (addr, handle, join) = start_server(quick_cfg());
+    let (addr, handle, _, join) = start_server(quick_cfg());
 
     {
         let stream = TcpStream::connect(&addr).unwrap();
         let mut reader = FrameReader::new(stream);
-        write_frame(
+        write_json(
             reader.get_mut(),
             &Frame::Hello { version: PROTOCOL_VERSION, nprocs: 2, opts: SessionOpts::default() },
         )
         .unwrap();
         assert!(matches!(reader.next_frame().unwrap(), Some(Frame::Welcome { .. })));
         for rank in 0..2u32 {
-            write_frame(
+            write_json(
                 reader.get_mut(),
                 &Frame::Event {
                     seq: rank as u64,
@@ -162,17 +124,17 @@ fn killed_session_is_salvaged_not_leaked() {
 /// degraded report before closing, and the registry records a salvage.
 #[test]
 fn idle_session_receives_degraded_report() {
-    let (addr, handle, join) = start_server(quick_cfg());
+    let (addr, handle, _, join) = start_server(quick_cfg());
 
     let stream = TcpStream::connect(&addr).unwrap();
     let mut reader = FrameReader::new(stream);
-    write_frame(
+    write_json(
         reader.get_mut(),
         &Frame::Hello { version: PROTOCOL_VERSION, nprocs: 1, opts: SessionOpts::default() },
     )
     .unwrap();
     assert!(matches!(reader.next_frame().unwrap(), Some(Frame::Welcome { .. })));
-    write_frame(
+    write_json(
         reader.get_mut(),
         &Frame::Event {
             seq: 0,
@@ -203,7 +165,7 @@ fn idle_session_receives_degraded_report() {
 /// mismatches alike.
 #[test]
 fn bad_hellos_are_answered_with_error_frames() {
-    let (addr, handle, join) = start_server(quick_cfg());
+    let (addr, handle, _, join) = start_server(quick_cfg());
 
     let hellos = [
         Frame::Hello { version: PROTOCOL_VERSION, nprocs: 0, opts: SessionOpts::default() },
@@ -213,7 +175,7 @@ fn bad_hellos_are_answered_with_error_frames() {
     for hello in hellos {
         let stream = TcpStream::connect(&addr).unwrap();
         let mut reader = FrameReader::new(stream);
-        write_frame(reader.get_mut(), &hello).unwrap();
+        write_json(reader.get_mut(), &hello).unwrap();
         match reader.next_frame().unwrap() {
             Some(Frame::Error { message }) => {
                 assert!(!message.is_empty(), "refusal must say why");
@@ -233,7 +195,7 @@ fn bad_hellos_are_answered_with_error_frames() {
 #[test]
 fn hard_buffer_cap_degrades_instead_of_buffering_unboundedly() {
     let cfg = ServeConfig { hard_watermark: 4, ..quick_cfg() };
-    let (addr, handle, join) = start_server(cfg);
+    let (addr, handle, _, join) = start_server(cfg);
 
     let trace = trace_of(2, 0xdead, bugs::emulate::buggy);
     let report = client::submit_tcp(&addr, &trace, &SessionOpts::default()).expect("submit");
@@ -263,7 +225,7 @@ fn trace_context_links_daemon_session_to_client_span() {
     let _serialize = GLOBAL_OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let server_obs = RecorderHandle::enabled();
     let cfg = ServeConfig { recorder: server_obs.clone(), ..quick_cfg() };
-    let (addr, handle, join) = start_server(cfg);
+    let (addr, handle, _, join) = start_server(cfg);
 
     let client_obs = RecorderHandle::enabled();
     mc_checker::obs::set_global(client_obs.clone());
@@ -310,7 +272,7 @@ fn tracectx_unaware_peers_round_trip_cleanly() {
     // New client, opted-out server.
     let server_obs = RecorderHandle::enabled();
     let cfg = ServeConfig { no_tracectx: true, recorder: server_obs.clone(), ..quick_cfg() };
-    let (addr, handle, join) = start_server(cfg);
+    let (addr, handle, _, join) = start_server(cfg);
     mc_checker::obs::set_global(RecorderHandle::enabled());
     let trace = trace_of(2, 0xdead, bugs::pingpong::buggy);
     let report = client::submit_tcp(&addr, &trace, &SessionOpts::default())
@@ -327,7 +289,7 @@ fn tracectx_unaware_peers_round_trip_cleanly() {
     // Old client (no recorder installed), new server.
     let server_obs = RecorderHandle::enabled();
     let cfg = ServeConfig { recorder: server_obs.clone(), ..quick_cfg() };
-    let (addr, handle, join) = start_server(cfg);
+    let (addr, handle, _, join) = start_server(cfg);
     let report = client::submit_tcp(&addr, &trace, &SessionOpts::default())
         .expect("a non-tracing client must interoperate with a tracing server");
     assert_eq!(report.confidence, Confidence::Complete);
@@ -345,11 +307,11 @@ fn tracectx_unaware_peers_round_trip_cleanly() {
 #[test]
 fn opted_out_server_refuses_tracectx_frames() {
     let cfg = ServeConfig { no_tracectx: true, ..quick_cfg() };
-    let (addr, handle, join) = start_server(cfg);
+    let (addr, handle, _, join) = start_server(cfg);
 
     let stream = TcpStream::connect(&addr).unwrap();
     let mut reader = FrameReader::new(stream);
-    write_frame(
+    write_json(
         reader.get_mut(),
         &Frame::Hello { version: PROTOCOL_VERSION, nprocs: 2, opts: SessionOpts::default() },
     )
@@ -363,7 +325,7 @@ fn opted_out_server_refuses_tracectx_frames() {
         }
         other => panic!("expected Welcome, got {other:?}"),
     }
-    write_frame(reader.get_mut(), &Frame::TraceCtx { trace_id: 7, parent_span: 3 }).unwrap();
+    write_json(reader.get_mut(), &Frame::TraceCtx { trace_id: 7, parent_span: 3 }).unwrap();
     match reader.next_frame().unwrap() {
         Some(Frame::Error { message }) => assert!(!message.is_empty()),
         other => panic!("expected an Error frame, got {other:?}"),
@@ -376,17 +338,17 @@ fn opted_out_server_refuses_tracectx_frames() {
 /// session gauges reflect the live registry.
 #[test]
 fn health_verb_reports_live_counters() {
-    let (addr, handle, join) = start_server(quick_cfg());
+    let (addr, handle, _, join) = start_server(quick_cfg());
 
     let stream = TcpStream::connect(&addr).unwrap();
     let mut reader = FrameReader::new(stream);
-    write_frame(
+    write_json(
         reader.get_mut(),
         &Frame::Hello { version: PROTOCOL_VERSION, nprocs: 1, opts: SessionOpts::default() },
     )
     .unwrap();
     assert!(matches!(reader.next_frame().unwrap(), Some(Frame::Welcome { .. })));
-    write_frame(reader.get_mut(), &Frame::Health).unwrap();
+    write_json(reader.get_mut(), &Frame::Health).unwrap();
     let health = match reader.next_frame().unwrap() {
         Some(Frame::HealthReport { json }) => json,
         other => panic!("expected HealthReport, got {other:?}"),
@@ -417,7 +379,7 @@ fn health_verb_reports_live_counters() {
 /// that still sends one is welcomed and gets the default session's report.
 #[test]
 fn client_requested_cap_and_stats_json_shape() {
-    let (addr, handle, join) = start_server(quick_cfg());
+    let (addr, handle, _, join) = start_server(quick_cfg());
 
     let trace = trace_of(2, 0xdead, bugs::emulate::buggy);
     let opts = SessionOpts { max_buffered: 4, ..SessionOpts::default() };

@@ -5,6 +5,9 @@
 //! leaked session, or a panic; afterwards the daemon still answers
 //! control queries and completes a normal submission.
 
+mod common;
+use common::{start_server, wait_until};
+
 use mc_checker::apps::bugs::{self, trace_of};
 use mc_checker::core::Confidence;
 use mc_checker::prelude::*;
@@ -12,30 +15,20 @@ use mc_checker::serve::proto::{
     encode_frame_with, write_frame_with, EventBatch, Frame, FrameReader, SessionOpts,
     FRAME_HEADER_LEN, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
-use mc_checker::serve::{
-    client, CodecKind, ProtoError, Registry, ServeConfig, Server, ServerHandle,
-};
+use mc_checker::serve::{client, CodecKind, ProtoError, Registry, ServeConfig};
 use mc_checker::types::{EventKind, SourceLoc};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
-fn start_server() -> (String, ServerHandle, Arc<Registry>, thread::JoinHandle<()>) {
-    let cfg = ServeConfig {
+fn fuzz_cfg() -> ServeConfig {
+    ServeConfig {
         tick: Duration::from_millis(20),
         idle_timeout: Duration::from_secs(2),
         ..ServeConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind an ephemeral port");
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let registry = server.registry();
-    let join = thread::spawn(move || server.run().expect("serve loop"));
-    (addr, handle, registry, join)
+    }
 }
 
 fn connect(addr: &str) -> TcpStream {
@@ -69,19 +62,6 @@ fn drain_to_close(mut reader: FrameReader<TcpStream>, patience: Duration) -> Vec
     }
 }
 
-fn wait_until(mut f: impl FnMut() -> bool, timeout: Duration) -> bool {
-    let start = Instant::now();
-    loop {
-        if f() {
-            return true;
-        }
-        if start.elapsed() >= timeout {
-            return false;
-        }
-        thread::sleep(Duration::from_millis(20));
-    }
-}
-
 /// After the abuse: no session may linger, control queries must answer,
 /// and a well-formed submission must complete — the daemon took the
 /// fuzzing without wedging.
@@ -112,7 +92,7 @@ fn assert_daemon_healthy(addr: &str, registry: &Registry) {
 /// answers with nothing but typed `Error` frames and closes.
 #[test]
 fn random_garbage_never_wedges_the_daemon() {
-    let (addr, handle, registry, join) = start_server();
+    let (addr, handle, registry, join) = start_server(fuzz_cfg());
     let mut rng = StdRng::seed_from_u64(0x6172_6261_6765);
     for round in 0..48 {
         let len = rng.gen_range(1usize..2048);
@@ -137,7 +117,7 @@ fn random_garbage_never_wedges_the_daemon() {
 /// dies mid-header): the session must be salvaged, not leaked.
 #[test]
 fn torn_header_after_handshake_salvages_the_session() {
-    let (addr, handle, registry, join) = start_server();
+    let (addr, handle, registry, join) = start_server(fuzz_cfg());
     let mut rng = StdRng::seed_from_u64(0x7465_6172);
     for _ in 0..8 {
         let stream = connect(&addr);
@@ -178,7 +158,7 @@ fn torn_header_after_handshake_salvages_the_session() {
 /// while the server waits for bytes that never come.
 #[test]
 fn bit_flipped_frames_are_rejected_with_typed_errors() {
-    let (addr, handle, registry, join) = start_server();
+    let (addr, handle, registry, join) = start_server(fuzz_cfg());
     let opts = SessionOpts::default();
     let pristine = encode_frame_with(
         &Frame::Hello { version: PROTOCOL_VERSION, nprocs: 2, opts },
@@ -215,7 +195,7 @@ fn bit_flipped_frames_are_rejected_with_typed_errors() {
 /// defect and the session ends salvaged, not wedged.
 #[test]
 fn hostile_batches_get_typed_errors_in_both_codecs() {
-    let (addr, handle, registry, join) = start_server();
+    let (addr, handle, registry, join) = start_server(fuzz_cfg());
     for codec in [CodecKind::Json, CodecKind::Binary] {
         let hostile: [(EventBatch, &str); 2] = [
             (
@@ -284,7 +264,7 @@ fn hostile_batches_get_typed_errors_in_both_codecs() {
 /// without waiting for (or reading) the announced payload.
 #[test]
 fn oversized_length_prefix_is_refused_from_the_header() {
-    let (addr, handle, registry, join) = start_server();
+    let (addr, handle, registry, join) = start_server(fuzz_cfg());
     for announced in [MAX_FRAME_LEN + 1, u32::MAX as usize] {
         let mut header = Vec::with_capacity(FRAME_HEADER_LEN);
         header.extend_from_slice(&(announced as u32).to_le_bytes());
@@ -321,7 +301,7 @@ proptest! {
         cut in 0usize..600,
         junk in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 1..256),
     ) {
-        let (addr, handle, registry, join) = start_server();
+        let (addr, handle, registry, join) = start_server(fuzz_cfg());
         let mut bytes = encode_frame_with(
             &Frame::Hello {
                 version: PROTOCOL_VERSION,
