@@ -86,41 +86,11 @@ pub fn fig2d(p: &mut Proc) {
     p.win_free(win);
 }
 
-/// `(name, nprocs, body, expected scope)`.
-pub type ArchetypeCase = (&'static str, u32, fn(&mut Proc), &'static str);
-
-/// All four archetypes, in figure order.
-#[allow(clippy::type_complexity)]
-pub fn all() -> Vec<ArchetypeCase> {
-    vec![
-        ("fig2a", 2, fig2a as fn(&mut Proc), "intra-epoch"),
-        ("fig2b", 3, fig2b, "cross-process"),
-        ("fig2c", 3, fig2c, "cross-process"),
-        ("fig2d", 2, fig2d, "cross-process"),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bugs::trace_of;
-    use mcc_core::{AnalysisSession, ErrorScope};
-
-    #[test]
-    fn every_archetype_detected_with_expected_scope() {
-        for (name, nprocs, body, scope) in all() {
-            let trace = trace_of(nprocs, 17, body);
-            let report = AnalysisSession::new().run(&trace);
-            assert!(report.has_errors(), "{name} not detected");
-            let found_scope = report.errors().next().unwrap().scope;
-            match scope {
-                "intra-epoch" => {
-                    assert!(matches!(found_scope, ErrorScope::IntraEpoch { .. }), "{name}")
-                }
-                _ => assert!(matches!(found_scope, ErrorScope::CrossProcess { .. }), "{name}"),
-            }
-        }
-    }
+    use mcc_core::AnalysisSession;
 
     #[test]
     fn fig2b_reports_the_two_origins() {

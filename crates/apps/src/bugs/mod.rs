@@ -95,41 +95,3 @@ pub fn trace_under_faults(
     .expect("bug-case configuration is valid");
     (outcome.trace.expect("tracing is enabled"), outcome.error)
 }
-
-/// A case with its buggy body: `(spec, buggy)`.
-pub type BugCase = (BugSpec, fn(&mut Proc));
-
-/// A case with both variants: `(spec, buggy, fixed)`.
-pub type BugCasePair = (BugSpec, fn(&mut Proc), fn(&mut Proc));
-
-/// All five Table II rows with their buggy bodies, in paper order.
-pub fn table2_cases() -> Vec<BugCase> {
-    vec![
-        (emulate::SPEC, emulate::buggy as fn(&mut Proc)),
-        (bt_broadcast::SPEC, bt_broadcast::buggy),
-        (lockopts::SPEC, lockopts::buggy),
-        (pingpong::SPEC, pingpong::buggy),
-        (jacobi::SPEC, jacobi::buggy),
-    ]
-}
-
-/// The fixed counterparts, used as false-positive regressions.
-pub fn fixed_cases() -> Vec<BugCase> {
-    vec![
-        (emulate::SPEC, emulate::fixed as fn(&mut Proc)),
-        (bt_broadcast::SPEC, bt_broadcast::fixed),
-        (lockopts::SPEC, lockopts::fixed),
-        (pingpong::SPEC, pingpong::fixed),
-        (jacobi::SPEC, jacobi::fixed),
-    ]
-}
-
-/// Extension case studies beyond the paper's Table II: the ADLB stack
-/// bug the paper recounts in §II-B and an MPI-3 work queue exercising the
-/// §V extension.
-pub fn extension_cases() -> Vec<BugCasePair> {
-    vec![
-        (adlb::SPEC, adlb::buggy as fn(&mut Proc), adlb::fixed as fn(&mut Proc)),
-        (mpi3_queue::SPEC, mpi3_queue::buggy, mpi3_queue::fixed),
-    ]
-}

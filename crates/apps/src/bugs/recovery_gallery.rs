@@ -19,6 +19,19 @@
 //! through the failure-aware pipeline and the verdict is
 //! `Confidence::Recovered` — complete analysis with the failure modeled —
 //! not `Degraded`.
+//!
+//! Each workload is a row of the case registry ([`crate::cases`]),
+//! which pairs the body with its `*_faults` plan and its
+//! [`RecoverySpec`]; every analysis path must reproduce that ground
+//! truth (`tests/differential.rs`). Run one by its hyphenated
+//! name:
+//!
+//! ```text
+//! mcc demo jacobi-ckpt          # exit 6: recovered, clean
+//! mcc demo pingpong-reexpose    # exit 5: recovered, errors found
+//! mcc demo adlb-failure         # exit 5
+//! mcc demo notify-race          # exit 5
+//! ```
 
 use mcc_mpi_sim::{Fault, FaultPlan, Proc, RecoveryPolicy};
 use mcc_types::{CommId, DatatypeId};
@@ -38,19 +51,6 @@ pub struct RecoverySpec {
     /// Expected finding kinds in the recovered report, as the JSON schema
     /// names them, in canonical order. Empty = recovered but clean.
     pub expected_kinds: &'static [&'static str],
-}
-
-/// A gallery entry: `(spec, fault plan, body)`.
-pub type RecoveryCase = (RecoverySpec, fn() -> FaultPlan, fn(&mut Proc));
-
-/// All four recovery workloads.
-pub fn gallery() -> Vec<RecoveryCase> {
-    vec![
-        (JACOBI_CKPT, jacobi_ckpt_faults as fn() -> FaultPlan, jacobi_ckpt as fn(&mut Proc)),
-        (PINGPONG_REEXPOSE, pingpong_reexpose_faults, pingpong_reexpose),
-        (ADLB_FAILURE, adlb_failure_faults, adlb_failure),
-        (NOTIFY_RACE, notify_race_faults, notify_race),
-    ]
 }
 
 // ---------------------------------------------------------------------
@@ -250,85 +250,4 @@ pub fn notify_race(p: &mut Proc) {
         p.win_fence(win);
     }
     p.win_free(win);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::bugs::trace_under_faults;
-    use mcc_core::{AnalysisSession, Confidence};
-    use mcc_types::EventKind;
-
-    /// Every gallery entry runs to completion (survivors finish), records
-    /// exactly the scheduled failure, and the survivors' logs carry the
-    /// notification marker.
-    #[test]
-    fn gallery_runs_record_the_scheduled_failure() {
-        for (spec, faults, body) in gallery() {
-            let (trace, error) = trace_under_faults(spec.nprocs, 11, faults(), body);
-            assert!(error.is_none(), "{}: survivable failure is not an error", spec.name);
-            for (r, proc) in trace.procs.iter().enumerate() {
-                let markers = proc
-                    .events
-                    .iter()
-                    .filter(|e| matches!(e.kind, EventKind::RankFailed { .. }))
-                    .count();
-                if r as u32 == spec.failed_rank {
-                    assert_eq!(markers, 0, "{}: the dead rank observes nothing", spec.name);
-                } else {
-                    assert_eq!(markers, 1, "{}: survivor {} logs one marker", spec.name, r);
-                }
-            }
-        }
-    }
-
-    /// The ground-truth verdicts: finding kinds and recovered confidence.
-    #[test]
-    fn gallery_ground_truth() {
-        for (spec, faults, body) in gallery() {
-            let (trace, _) = trace_under_faults(spec.nprocs, 11, faults(), body);
-            let report = AnalysisSession::new().run(&trace);
-            assert_eq!(
-                report.confidence,
-                Confidence::Recovered,
-                "{}: {}",
-                spec.name,
-                report.render()
-            );
-            let kinds: Vec<String> = report
-                .diagnostics
-                .iter()
-                .map(|d| match d.kind {
-                    mcc_types::ConflictKind::StaleReadFromFailedRank => {
-                        "stale-read-from-failed-rank".to_string()
-                    }
-                    mcc_types::ConflictKind::LostUpdateAcrossReexposure => {
-                        "lost-update-across-reexposure".to_string()
-                    }
-                    other => format!("{other:?}"),
-                })
-                .collect();
-            assert_eq!(kinds, spec.expected_kinds, "{}: {}", spec.name, report.render());
-            for d in &report.diagnostics {
-                assert_eq!(d.confidence, Confidence::Recovered, "{}", spec.name);
-            }
-        }
-    }
-
-    /// The failed rank's in-flight write is one side of every failure
-    /// finding, and the reader/re-exposure the other.
-    #[test]
-    fn findings_cite_the_failed_rank() {
-        for (spec, faults, body) in gallery() {
-            if spec.expected_kinds.is_empty() {
-                continue;
-            }
-            let (trace, _) = trace_under_faults(spec.nprocs, 11, faults(), body);
-            let report = AnalysisSession::new().run(&trace);
-            for d in &report.diagnostics {
-                assert_eq!(d.a.rank.0, spec.failed_rank, "{}: side A is the dead rank", spec.name);
-                assert_ne!(d.b.rank.0, spec.failed_rank, "{}: side B is a survivor", spec.name);
-            }
-        }
-    }
 }

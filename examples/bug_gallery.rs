@@ -6,7 +6,7 @@
 //! cargo run --release --example bug_gallery
 //! ```
 
-use mc_checker::apps::bugs::{self, archetypes};
+use mc_checker::apps::{bugs, cases, Source};
 use mc_checker::prelude::*;
 
 fn check(name: &str, nprocs: u32, body: impl Fn(&mut Proc) + Send + Sync) {
@@ -22,27 +22,33 @@ fn check(name: &str, nprocs: u32, body: impl Fn(&mut Proc) + Send + Sync) {
 
 fn main() {
     println!("--- Figure 2 archetypes ---------------------------------\n");
-    for (name, nprocs, body, scope) in archetypes::all() {
-        println!("[expected: {scope}]");
-        check(name, nprocs, body);
+    for case in cases() {
+        if let Source::Figure2(scope) = case.source {
+            println!("[expected: {}]", scope.name());
+            check(case.name, case.procs, case.buggy);
+        }
     }
 
+    let table2 = || cases().iter().filter(|c| matches!(c.source, Source::Table2(_)));
     println!("--- Table II applications (buggy) ------------------------\n");
-    for (spec, body) in bugs::table2_cases() {
-        check(spec.name, spec.nprocs, body);
+    for case in table2() {
+        check(case.bug_spec().unwrap().name, case.procs, case.buggy);
     }
 
     println!("--- Table II applications (fixed: expect silence) --------\n");
-    for (spec, body) in bugs::fixed_cases() {
-        check(&format!("{} (fixed)", spec.name), spec.nprocs, body);
+    for case in table2() {
+        let name = format!("{} (fixed)", case.bug_spec().unwrap().name);
+        check(&name, case.procs, case.fixed.unwrap());
     }
 
     println!("--- the original lockopts (exclusive lock → warning) -----\n");
     check("lockopts/exclusive", 8, bugs::lockopts::original_exclusive);
 
     println!("--- extension case studies (ADLB §II-B, MPI-3 §V) --------\n");
-    for (spec, buggy, fixed) in bugs::extension_cases() {
-        check(spec.name, spec.nprocs, buggy);
-        check(&format!("{} (fixed)", spec.name), spec.nprocs, fixed);
+    for case in cases() {
+        if let Source::Extension(spec) = case.source {
+            check(spec.name, case.procs, case.buggy);
+            check(&format!("{} (fixed)", spec.name), case.procs, case.fixed.unwrap());
+        }
     }
 }

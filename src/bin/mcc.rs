@@ -6,7 +6,7 @@
 //! the typed getters of [`Args`], so a flag the table does not declare
 //! never reaches them.
 
-use mc_checker::apps::bugs;
+use mc_checker::apps::{self, bugs, cases, Body, Case, Source};
 use mc_checker::cli::{self, Args};
 use mc_checker::core::streaming::StreamingChecker;
 use mc_checker::core::CheckReport;
@@ -87,30 +87,24 @@ fn cmd_table1() -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The bug gallery `list` prints and `overhead` measures: every Table II
-/// and extension case with its buggy body.
-fn bug_gallery() -> Vec<bugs::BugCase> {
-    let extensions = bugs::extension_cases().into_iter().map(|(spec, buggy, _)| (spec, buggy));
-    bugs::table2_cases().into_iter().chain(extensions).collect()
-}
-
 fn cmd_list() -> Outcome {
     println!("Bug-case demos (each has a buggy and a --fixed variant):");
-    for (spec, _) in bug_gallery() {
+    for case in cases() {
+        let Some(spec) = case.bug_spec() else { continue };
         println!(
             "  {:<14} {:>3} procs  {:<18} {}",
-            spec.name, spec.nprocs, spec.error_location, spec.root_cause
+            spec.name, case.procs, spec.error_location, spec.root_cause
         );
     }
-    println!("  fig2a / fig2b / fig2c / fig2d   the Figure 2 archetypes");
+    let figure2: Vec<&str> =
+        cases().iter().filter(|c| matches!(c.source, Source::Figure2(_))).map(|c| c.name).collect();
+    println!("  {}   the Figure 2 archetypes", figure2.join(" / "));
     println!("Recovery gallery (survivable rank failures; fault plan built in):");
-    for (spec, _, _) in bugs::recovery_gallery::gallery() {
+    for case in cases() {
+        let Source::Recovery(spec) = case.source else { continue };
         println!(
             "  {:<18} {:>3} procs  rank {} fails after {} epoch(s)",
-            spec.name.replace('_', "-"),
-            spec.nprocs,
-            spec.failed_rank,
-            spec.epochs_completed
+            case.name, case.procs, spec.failed_rank, spec.epochs_completed
         );
     }
     println!(
@@ -677,18 +671,20 @@ fn cmd_trace_merge(args: &Args) -> Outcome {
 /// bound on the cost of this build's own (disabled) instrumentation.
 fn cmd_overhead(args: &Args) -> Outcome {
     let reps = args.positive::<u32>("--reps")?.unwrap_or(3);
-    let cases = bug_gallery();
+    // The bug gallery: every Table II and extension case's buggy body.
+    let gallery: Vec<(&str, &Case)> =
+        cases().iter().filter_map(|c| Some((c.bug_spec()?.name, c))).collect();
 
     println!("Profiling overhead over the bug gallery (best of {reps} rep(s) per mode):");
     println!(
         "{:<14} {:>5} {:>12} {:>12} {:>8} {:>9}",
         "app", "procs", "native", "profiled", "norm", "overhead"
     );
-    for &(spec, body) in &cases {
-        let base = SimConfig::new(spec.nprocs).with_seed(0xC11);
+    for &(name, case) in &gallery {
+        let base = SimConfig::new(case.procs).with_seed(0xC11);
         let rep =
-            mc_checker::profiler::profile_run(spec.name, base, Instrument::Relevant, reps, body)
-                .map_err(failed(format!("profiling `{}` failed", spec.name)))?;
+            mc_checker::profiler::profile_run(name, base, Instrument::Relevant, reps, case.buggy)
+                .map_err(failed(format!("profiling `{name}` failed")))?;
         println!(
             "{:<14} {:>5} {:>10.3}ms {:>10.3}ms {:>7.2}x {:>8.1}%",
             rep.name,
@@ -707,8 +703,8 @@ fn cmd_overhead(args: &Args) -> Outcome {
     // against the analysis wall time.
     let mut total_ops = 0u64;
     let mut total_wall = std::time::Duration::ZERO;
-    for &(spec, body) in &cases {
-        let trace = bugs::trace_of(spec.nprocs, 0xC11, body);
+    for &(_, case) in &gallery {
+        let trace = bugs::trace_of(case.procs, 0xC11, case.buggy);
         let counting = RecorderHandle::enabled();
         AnalysisSession::builder().recorder(counting.clone()).build().run(&trace);
         total_ops += counting.ops();
@@ -802,45 +798,15 @@ fn parse_rank_count(v: &str) -> Option<(u32, u64)> {
     Some((r.parse().ok()?, n.parse().ok()?))
 }
 
-/// A built-in case: default rank count, program body, and the fault
-/// plan it ships (the recovery gallery and `adlb-crash`).
-struct Case {
-    procs: u32,
-    body: fn(&mut Proc),
-    faults: Option<fn() -> FaultPlan>,
-}
-
-fn resolve_case(name: &str, fixed: bool) -> Result<Case, String> {
-    let gallery = bugs::recovery_gallery::gallery();
-    if let Some((spec, faults, body)) =
-        gallery.into_iter().find(|(spec, _, _)| spec.name.replace('_', "-") == name)
-    {
-        return Ok(Case { procs: spec.nprocs, body, faults: Some(faults) });
-    }
-    let (procs, body): (u32, fn(&mut Proc)) = match (name, fixed) {
-        ("emulate", false) => (2, bugs::emulate::buggy),
-        ("emulate", true) => (2, bugs::emulate::fixed),
-        ("bt-broadcast", false) => (2, bugs::bt_broadcast::buggy),
-        ("bt-broadcast", true) => (2, bugs::bt_broadcast::fixed),
-        ("lockopts", false) => (64, bugs::lockopts::buggy),
-        ("lockopts", true) => (64, bugs::lockopts::fixed),
-        ("ping-pong", false) => (2, bugs::pingpong::buggy),
-        ("ping-pong", true) => (2, bugs::pingpong::fixed),
-        ("jacobi", false) => (4, bugs::jacobi::buggy),
-        ("jacobi", true) => (4, bugs::jacobi::fixed),
-        ("adlb", false) => (2, bugs::adlb::buggy),
-        ("adlb", true) => (2, bugs::adlb::fixed),
-        ("adlb-crash", _) => (2, bugs::adlb::buggy),
-        ("mpi3-queue", false) => (4, bugs::mpi3_queue::buggy),
-        ("mpi3-queue", true) => (4, bugs::mpi3_queue::fixed),
-        ("fig2a", _) => (2, bugs::archetypes::fig2a),
-        ("fig2b", _) => (3, bugs::archetypes::fig2b),
-        ("fig2c", _) => (3, bugs::archetypes::fig2c),
-        ("fig2d", _) => (2, bugs::archetypes::fig2d),
-        _ => return fail(format!("unknown case `{name}` (try `mcc list`)")),
-    };
-    let crash: fn() -> FaultPlan = bugs::adlb::crash_mid_epoch_faults;
-    Ok(Case { procs, body, faults: (name == "adlb-crash").then_some(crash) })
+/// Looks `mcc demo|explore NAME [--fixed]` up in the case registry: the
+/// case, and the body `fixed` picks.
+fn resolve_case(args: &Args, fixed: bool) -> Result<(&'static Case, Body), String> {
+    let name = args.operands()[0];
+    let case = apps::case(name).ok_or_else(|| format!("unknown case `{name}` (try `mcc list`)"))?;
+    let body = case
+        .body(fixed)
+        .ok_or_else(|| args.refuse(format!("`--fixed`: case `{name}` has no fixed variant")))?;
+    Ok((case, body))
 }
 
 /// Runs `body` with rank panics kept off stderr: a rank dying, or a
@@ -880,13 +846,14 @@ fn cmd_demo(args: &Args) -> Outcome {
         faults = faults.with(Fault::HangAtSync { rank, nth_sync });
     }
     // A recovery-gallery case's own plan (a survivable rank failure)
-    // applies unless the command line injects faults; `adlb-crash` *is*
+    // applies unless the command line injects faults; a crash case *is*
     // its crash, whatever else was asked for.
-    let Case { procs, body, faults: shipped } = resolve_case(name, fixed)?;
-    if let Some(plan) = shipped.filter(|_| faults.is_empty() || name == "adlb-crash") {
+    let (case, body) = resolve_case(args, fixed)?;
+    let crash = matches!(case.source, Source::Crash);
+    if let Some(plan) = case.faults.filter(|_| faults.is_empty() || crash) {
         faults = plan();
     }
-    let procs = procs_override.unwrap_or(procs);
+    let procs = procs_override.unwrap_or(case.procs);
 
     if (seed.is_some() || sweep.is_some()) && !faults.is_empty() {
         return fail(
@@ -969,14 +936,14 @@ fn cmd_explore(args: &Args) -> Outcome {
     let threads = args.positive("--threads")?.unwrap_or(1);
     let procs_override = args.positive::<u32>("--procs")?;
     let replay = args.str("--replay");
-    let case = resolve_case(name, fixed)?;
+    let (case, body) = resolve_case(args, fixed)?;
     if case.faults.is_some() {
         return fail(format!(
             "`{name}` ships a fault plan; `mcc explore` enumerates the delivery \
              schedules of fault-free runs (run it with `mcc demo {name}` instead)"
         ));
     }
-    let (procs, body) = (procs_override.unwrap_or(case.procs), case.body);
+    let procs = procs_override.unwrap_or(case.procs);
     let explorer = mc_checker::explore::Explorer::new(procs)
         .with_max_schedules(max_schedules)
         .with_max_depth(max_depth)

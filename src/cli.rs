@@ -402,6 +402,12 @@ impl<'a> Args<'a> {
         self.read(name, self.metavar(name), read)
     }
 
+    /// A usage error the handler found: `what` above the command's
+    /// usage, as [`parse`] words its own.
+    pub fn refuse(&self, what: impl Into<String>) -> UsageError {
+        UsageError { what: what.into(), cmd: self.cmd }
+    }
+
     fn metavar(&self, name: &str) -> &'static str {
         self.cmd.flag(name).and_then(|f| f.value).unwrap_or_default()
     }

@@ -1,23 +1,25 @@
-//! Durability under chaos: every bug archetype, streamed through a
-//! fault-injecting TCP proxy, must still end with the exact report a
-//! batch analysis produces — the durable client resumes through drops,
+//! Durability under chaos: a bug case streamed through a fault-injecting
+//! TCP proxy at many fault positions must still end with the exact report
+//! a batch analysis produces — the durable client resumes through drops,
 //! resets, partial writes, delays, and bit flips; the daemon parks and
-//! recovers sessions instead of losing them. A journal damaged at an
-//! arbitrary byte must come back through recovery degraded, never as a
-//! panic or a silently different report.
+//! recovers sessions instead of losing them. (One fault per registry
+//! case is the `durable` column of `tests/differential.rs`.) A journal
+//! damaged at an arbitrary byte must come back through recovery
+//! degraded, never as a panic or a silently different report.
 
 mod common;
-use common::{scratch, start_server, wait_until, write_json};
+use common::{chaos_cfg, chaos_policy, run_through_fault, scratch, start_server, wait_until};
+use common::{wire_len, write_json};
 
-use mc_checker::apps::bugs::recovery_gallery::{self, RecoveryCase};
 use mc_checker::apps::bugs::{self, trace_of, trace_under_faults};
+use mc_checker::apps::{cases, Case, Source};
 use mc_checker::core::streaming::StreamingChecker;
 use mc_checker::core::Confidence;
 use mc_checker::prelude::*;
 use mc_checker::serve::journal::{read_journal, FsyncPolicy, Journal, JournalRecord};
 use mc_checker::serve::proto::{Frame, FrameReader, ProtoError, SessionOpts};
 use mc_checker::serve::CodecKind;
-use mc_checker::serve::{client, ChaosProxy, FaultKind, FaultSchedule, ServeConfig, Server};
+use mc_checker::serve::{client, FaultKind, FaultSchedule, ServeConfig, Server};
 use mc_checker::types::Rank;
 use proptest::prelude::*;
 use std::fs;
@@ -27,105 +29,11 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-type BugBody = fn(&mut Proc);
-
-/// The full bug gallery, as in `streaming_vs_batch.rs`.
-fn archetypes() -> [(&'static str, u32, BugBody); 8] {
-    [
-        ("adlb", 4, bugs::adlb::buggy),
-        ("mpi3_queue", 4, bugs::mpi3_queue::buggy),
-        ("bt_broadcast", 4, bugs::bt_broadcast::buggy),
-        ("emulate", 4, bugs::emulate::buggy),
-        ("jacobi", 4, bugs::jacobi::buggy),
-        ("lockopts", 4, bugs::lockopts::buggy),
-        ("pingpong", 2, bugs::pingpong::buggy),
-        ("fig2c", 3, bugs::archetypes::fig2c),
-    ]
-}
-
-/// Daemon config for chaos runs: quick ticks, frequent acks, generous
-/// resume grace (the client's retry budget decides, not the janitor).
-fn chaos_cfg() -> ServeConfig {
-    ServeConfig {
-        tick: Duration::from_millis(20),
-        idle_timeout: Duration::from_secs(5),
-        ack_interval: 8,
-        resume_grace: Duration::from_secs(60),
-        ..ServeConfig::default()
-    }
-}
-
-/// Client policy for chaos runs: fast, deterministic backoff.
-fn chaos_policy(seed: u64) -> client::RetryPolicy {
-    client::RetryPolicy {
-        retries: 12,
-        base_backoff: Duration::from_millis(10),
-        max_backoff: Duration::from_millis(200),
-        reply_deadline: Duration::from_secs(10),
-        jitter_seed: seed,
-        throttle: None,
-    }
-}
-
-/// Total client→server bytes of a durable submission — the space the
-/// fault position is drawn from.
-fn wire_len(trace: &Trace) -> u64 {
-    client::encode_stream(&client::flatten_events(trace), 0, CodecKind::Json, 1)
-        .iter()
-        .map(|f| f.len() as u64)
-        .sum()
-}
-
-/// Streams `trace` through a chaos proxy carrying `schedule` and asserts
-/// the final report is exactly the batch report.
-fn run_through_fault(name: &str, trace: &Trace, schedule: FaultSchedule, seed: u64) {
-    let batch = AnalysisSession::new().run(trace).diagnostics;
-    let (addr, handle, _, join) = start_server(chaos_cfg());
-    let mut proxy = ChaosProxy::start(&addr, schedule).expect("start chaos proxy");
-
-    let (report, stats) = client::submit_durable_tcp(
-        proxy.addr(),
-        trace,
-        &SessionOpts::default(),
-        &chaos_policy(seed),
-    )
-    .unwrap_or_else(|e| {
-        panic!("{name}/{}/seed{seed}: durable submit failed: {e}", schedule.kind.name())
-    });
-
-    let tag = format!("{name}/{}/seed{seed} ({stats:?})", schedule.kind.name());
-    assert_eq!(report.confidence, Confidence::Complete, "{tag}");
-    assert_eq!(report.events_ingested, trace.total_events() as u64, "{tag}");
-    assert_eq!(report.findings, batch, "{tag}: findings diverge from batch");
-    let a = serde_json::to_string(&report.findings).unwrap();
-    let b = serde_json::to_string(&batch).unwrap();
-    assert_eq!(a, b, "{tag}: serialized findings diverge from batch");
-
-    proxy.stop();
-    handle.shutdown();
-    join.join().unwrap();
-}
-
-/// Broad sweep: all 8 archetypes × all 5 fault kinds, one fixed seed
-/// per combination. Every run must end batch-identical.
-#[test]
-fn every_archetype_survives_every_fault_kind() {
-    for (i, (name, nprocs, body)) in archetypes().into_iter().enumerate() {
-        let trace = trace_of(nprocs, 0xdead, body);
-        let max_pos = wire_len(&trace);
-        for (j, kind) in FaultKind::ALL.into_iter().enumerate() {
-            let seed = (i * FaultKind::ALL.len() + j) as u64;
-            let schedule = FaultSchedule::from_seed(seed, kind, max_pos);
-            run_through_fault(name, &trace, schedule, seed);
-        }
-    }
-}
-
-/// Deep sweep: one archetype, every fault kind, 16 seeds each — the
+/// Deep sweep: one bug case, every fault kind, 16 seeds each — the
 /// fault lands at 16 different stream positions per kind.
 #[test]
 fn sixteen_seeds_per_fault_on_one_archetype() {
-    let trace = trace_of(4, 0xdead, bugs::mpi3_queue::buggy as BugBody);
+    let trace = trace_of(4, 0xdead, bugs::mpi3_queue::buggy);
     let max_pos = wire_len(&trace);
     for kind in FaultKind::ALL {
         for seed in 0..16u64 {
@@ -139,7 +47,7 @@ fn sixteen_seeds_per_fault_on_one_archetype() {
 /// the daemon skips the duplicates and the report matches batch exactly.
 #[test]
 fn duplicate_resend_is_idempotent() {
-    let trace = trace_of(4, 0xdead, bugs::emulate::buggy as BugBody);
+    let trace = trace_of(4, 0xdead, bugs::emulate::buggy);
     let batch = AnalysisSession::new().run(&trace).diagnostics;
     let (addr, handle, _, join) = start_server(chaos_cfg());
 
@@ -216,7 +124,7 @@ fn drain_acks<R: std::io::Read>(reader: &mut FrameReader<R>) {
 /// number, and the final report is byte-identical to batch.
 #[test]
 fn daemon_restart_recovers_journal_and_report_matches_batch() {
-    let trace = trace_of(4, 0xdead, bugs::mpi3_queue::buggy as BugBody);
+    let trace = trace_of(4, 0xdead, bugs::mpi3_queue::buggy);
     let batch = AnalysisSession::new().run(&trace).diagnostics;
     let dir = scratch("chaos-restart");
     let cfg = |recover| ServeConfig {
@@ -346,7 +254,7 @@ fn journal_per_event(j: &mut Journal, trace: &Trace) -> usize {
 /// retired report: a resume gets the full report without resending.
 #[test]
 fn finished_journal_recovers_to_a_retired_report() {
-    let trace = trace_of(2, 0xdead, bugs::pingpong::buggy as BugBody);
+    let trace = trace_of(2, 0xdead, bugs::pingpong::buggy);
     let batch = AnalysisSession::new().run(&trace).diagnostics;
     let dir = scratch("chaos-retired");
 
@@ -401,7 +309,7 @@ fn resume_of_unknown_session_draws_gone() {
 /// workhorse case) and returns its path plus the events written.
 fn written_journal(tag: &str) -> (PathBuf, PathBuf, usize) {
     let dir = scratch(&format!("chaos-{tag}"));
-    let trace = trace_of(2, 5, bugs::adlb::buggy as BugBody);
+    let trace = trace_of(2, 5, bugs::adlb::buggy);
     let opts = SessionOpts { durable: true, ..SessionOpts::default() };
     let mut j = Journal::create(&dir, 3, 2, &opts, 0, FsyncPolicy::Never).unwrap();
     let events = journal_per_event(&mut j, &trace);
@@ -494,14 +402,18 @@ fn recover_over_damaged_directory_never_panics() {
 /// and be byte-identical to an uninterrupted daemon run and to batch.
 #[test]
 fn daemon_restart_preserves_a_rank_failure_report() {
-    recovery_gallery::gallery().into_iter().for_each(restart_mid_recovery);
+    cases()
+        .iter()
+        .filter(|c| matches!(c.source, Source::Recovery(_)))
+        .for_each(restart_mid_recovery);
 }
 
-fn restart_mid_recovery((spec, faults, body): RecoveryCase) {
-    let (trace, error) = trace_under_faults(spec.nprocs, 11, faults(), body);
-    assert!(error.is_none(), "{}: survivable failure is not an error", spec.name);
+fn restart_mid_recovery(case: &Case) {
+    let faults = case.faults.expect("a recovery workload ships its failure");
+    let (trace, error) = trace_under_faults(case.procs, 11, faults(), case.buggy);
+    assert!(error.is_none(), "{}: survivable failure is not an error", case.name);
     let batch = AnalysisSession::new().run(&trace);
-    assert_eq!(batch.confidence, Confidence::Recovered, "{}", spec.name);
+    assert_eq!(batch.confidence, Confidence::Recovered, "{}", case.name);
 
     // Uninterrupted daemon run, for the byte-identity baseline.
     let (addr0, handle0, _, join0) = start_server(chaos_cfg());
@@ -517,7 +429,7 @@ fn restart_mid_recovery((spec, faults, body): RecoveryCase) {
     assert_eq!(uninterrupted.confidence, Confidence::Recovered, "session verdict is recovered");
     assert_eq!(uninterrupted.findings, batch.diagnostics);
 
-    let dir = scratch(&format!("chaos-rankfail-restart-{}", spec.name));
+    let dir = scratch(&format!("chaos-rankfail-restart-{}", case.name));
     // The gallery trace is small; ack every other event so a provably
     // journaled prefix exists before the daemon dies.
     let cfg = |recover| ServeConfig {
@@ -547,7 +459,7 @@ fn restart_mid_recovery((spec, faults, body): RecoveryCase) {
             reader.get_mut(),
             &Frame::Hello {
                 version: mc_checker::serve::PROTOCOL_VERSION,
-                nprocs: spec.nprocs,
+                nprocs: case.procs,
                 opts,
             },
         )
@@ -617,11 +529,11 @@ fn restart_mid_recovery((spec, faults, body): RecoveryCase) {
         report.to_json(),
         uninterrupted.to_json(),
         "{}: rank-failure report must be byte-identical across the daemon restart",
-        spec.name
+        case.name
     );
     let a = serde_json::to_string(&report.findings).unwrap();
     let b = serde_json::to_string(&batch.diagnostics).unwrap();
-    assert_eq!(a, b, "{}: recovered report not byte-identical to batch", spec.name);
+    assert_eq!(a, b, "{}: recovered report not byte-identical to batch", case.name);
 
     handle_b.shutdown();
     join_b.join().unwrap();

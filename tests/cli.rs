@@ -151,6 +151,12 @@ fn no_flag_is_silently_ignored() {
         (&["check", "DIR", "--threads", "4"], "unknown flag `--threads`"),
         (&["submit", "DIR", "--threads", "2"], "unknown flag `--threads`"),
         (&["serve", "--max-threads", "2"], "unknown flag `--max-threads`"),
+        // `--fixed` on a case without a fixed variant used to run the
+        // buggy body.
+        (&["demo", "fig2a", "--fixed"], "case `fig2a` has no fixed variant"),
+        (&["demo", "adlb-crash", "--fixed"], "case `adlb-crash` has no fixed variant"),
+        (&["demo", "jacobi-ckpt", "--fixed"], "case `jacobi-ckpt` has no fixed variant"),
+        (&["explore", "fig2a", "--fixed"], "case `fig2a` has no fixed variant"),
     ];
     for (argv, complaint) in cases {
         let out = mcc(argv);

@@ -2,12 +2,13 @@
 //! survives both codecs unchanged, damaged binary input always comes
 //! back as a typed error (never a panic, never a silently wrong value),
 //! the daemon produces byte-identical reports whichever codec carried
-//! the events — and whichever frame shape, a durable resume included —
-//! and journals written by the JSON-only builds replay — including into
-//! `mcc serve --recover` — without any flag.
+//! the events (for every built-in case: the `serve` column of
+//! `tests/differential.rs`) — and whichever frame shape, a durable
+//! resume included — and journals written by the JSON-only builds replay
+//! — including into `mcc serve --recover` — without any flag.
 
 mod common;
-use common::start_server;
+use common::{sample_trace, start_server, BINARY_CFG, JSON_CFG, SAMPLE};
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -17,8 +18,7 @@ use std::time::{Duration, Instant};
 use mc_checker::apps::bugs::{self, trace_of};
 use mc_checker::codec::{decode_auto, encode_with, CodecKind};
 use mc_checker::obs::names;
-use mc_checker::prelude::*;
-use mc_checker::serve::client::{self, SubmitCfg};
+use mc_checker::serve::client;
 use mc_checker::serve::journal::{read_journal, FsyncPolicy, JournalRecord};
 use mc_checker::serve::proto::{
     decode_frame, encode_frame_with, EventBatch, Frame, FrameReader, ProtoError, SessionOpts,
@@ -28,33 +28,14 @@ use mc_checker::serve::{ServeConfig, Server, SessionReport};
 use mc_checker::types::{EventKind, SourceLoc};
 use proptest::prelude::*;
 
-type BugBody = fn(&mut Proc);
-
-/// Every bug archetype in `crates/apps/src/bugs`, at a small scale.
-fn archetypes() -> [(&'static str, u32, BugBody); 8] {
-    [
-        ("adlb", 4, bugs::adlb::buggy),
-        ("mpi3_queue", 4, bugs::mpi3_queue::buggy),
-        ("bt_broadcast", 4, bugs::bt_broadcast::buggy),
-        ("emulate", 4, bugs::emulate::buggy),
-        ("jacobi", 4, bugs::jacobi::buggy),
-        ("lockopts", 4, bugs::lockopts::buggy),
-        ("pingpong", 2, bugs::pingpong::buggy),
-        ("fig2c", 3, bugs::archetypes::fig2c),
-    ]
-}
-
 /// Real events from the gallery — far more representative input for the
 /// codecs than hand-built values, since every `EventKind` shape a bug
 /// archetype produces shows up here.
 fn event_pool() -> &'static Vec<(u32, EventKind, SourceLoc)> {
     static POOL: OnceLock<Vec<(u32, EventKind, SourceLoc)>> = OnceLock::new();
     POOL.get_or_init(|| {
-        let mut pool = Vec::new();
-        for (_, nprocs, body) in archetypes() {
-            pool.extend(client::flatten_events(&trace_of(nprocs, 0xdead, body)));
-        }
-        pool
+        let traces = (0..SAMPLE.len()).map(|i| sample_trace(i, 0xdead).1);
+        traces.flat_map(|trace| client::flatten_events(&trace)).collect()
     })
 }
 
@@ -196,40 +177,6 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Cross-codec end-to-end equality
 // ---------------------------------------------------------------------------
-
-const JSON_CFG: SubmitCfg = SubmitCfg { batch_size: 1, prefer_binary: false };
-const BINARY_CFG: SubmitCfg = SubmitCfg { batch_size: 64, prefer_binary: true };
-
-/// The whole gallery, submitted twice to the same daemon — once over
-/// per-event JSON frames, once over binary batches. The returned
-/// reports must be byte-identical.
-#[test]
-fn gallery_reports_are_byte_identical_across_codecs() {
-    let (addr, handle, _, join) = start_server(ServeConfig::default());
-    for (name, nprocs, body) in archetypes() {
-        let trace = trace_of(nprocs, 0xdead, body);
-        let opts = SessionOpts::default();
-        let (json_report, json_info) =
-            client::submit_tcp_cfg(&addr, &trace, &opts, &JSON_CFG).expect("json submit");
-        let (bin_report, bin_info) =
-            client::submit_tcp_cfg(&addr, &trace, &opts, &BINARY_CFG).expect("binary submit");
-        assert_eq!(json_info.codec, CodecKind::Json, "{name}");
-        assert_eq!(bin_info.codec, CodecKind::Binary, "{name}: server offers binary");
-        assert!(
-            bin_info.bytes_sent < json_info.bytes_sent,
-            "{name}: binary batches must be smaller ({} vs {} bytes)",
-            bin_info.bytes_sent,
-            json_info.bytes_sent
-        );
-        assert_eq!(
-            json_report.to_json(),
-            bin_report.to_json(),
-            "{name}: reports must be byte-identical across codecs"
-        );
-    }
-    handle.shutdown();
-    join.join().expect("server thread");
-}
 
 /// A binary-preferring client against a `--no-binary` daemon falls back
 /// to JSON cleanly — same session flow, same report.

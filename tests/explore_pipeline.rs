@@ -1,8 +1,9 @@
 //! End-to-end tests of `mcc explore`'s engine: deterministic reports at
-//! every thread count, witness replay, ground truth over the bug
-//! gallery, and deadlock-bearing schedules recorded instead of hung.
+//! every thread count, witness replay, and deadlock-bearing schedules
+//! recorded instead of hung. (Ground truth over the bug gallery is the
+//! `explore` column of `tests/differential.rs`.)
 
-use mc_checker::apps::bugs;
+use mc_checker::apps::{bugs, case};
 use mc_checker::explore::{Explorer, Verdict};
 use mc_checker::prelude::*;
 use std::time::Duration;
@@ -46,52 +47,15 @@ fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
 
 #[test]
 fn reports_byte_identical_across_thread_counts() {
-    for (name, body) in [
-        ("fig2a", bugs::archetypes::fig2a as fn(&mut Proc)),
-        ("ping-pong buggy", bugs::pingpong::buggy),
-        ("ping-pong fixed", bugs::pingpong::fixed),
-    ] {
+    for (name, fixed) in [("fig2a", false), ("ping-pong", false), ("ping-pong", true)] {
+        let body = case(name).and_then(|c| c.body(fixed)).expect("a registry body");
         let json: Vec<String> = [1usize, 2, 4]
             .iter()
             .map(|&t| Explorer::new(2).with_threads(t).run(body).to_json())
             .collect();
-        assert_eq!(json[0], json[1], "{name}: 1 vs 2 threads");
-        assert_eq!(json[0], json[2], "{name}: 1 vs 4 threads");
+        assert_eq!(json[0], json[1], "{name} (fixed: {fixed}): 1 vs 2 threads");
+        assert_eq!(json[0], json[2], "{name} (fixed: {fixed}): 1 vs 4 threads");
         assert!(json[0].contains("\"schema_version\""), "{name}: report document");
-    }
-}
-
-/// A gallery case: name, process count, body.
-type GalleryCase = (&'static str, u32, fn(&mut Proc));
-
-#[test]
-fn gallery_ground_truth_under_exploration() {
-    let buggy: [GalleryCase; 4] = [
-        ("fig2a", 2, bugs::archetypes::fig2a),
-        ("fig2d", 2, bugs::archetypes::fig2d),
-        ("ping-pong", 2, bugs::pingpong::buggy),
-        ("emulate", 2, bugs::emulate::buggy),
-    ];
-    for (name, nprocs, body) in buggy {
-        let report = Explorer::new(nprocs).run(body);
-        assert!(report.first_buggy.is_some(), "{name}: the bug must surface in some schedule");
-        assert!(report.has_errors(), "{name}: error-severity findings expected");
-        assert_eq!(report.exit_code(), 1, "{name}");
-        let witness = &report.findings[0].witness;
-        assert!(!witness.is_empty(), "{name}: finding carries its witness");
-    }
-    let fixed: [GalleryCase; 2] =
-        [("ping-pong", 2, bugs::pingpong::fixed), ("emulate", 2, bugs::emulate::fixed)];
-    for (name, nprocs, body) in fixed {
-        let report = Explorer::new(nprocs).run(body);
-        assert_eq!(report.first_buggy, None, "{name} (fixed): no buggy schedule");
-        assert!(!report.has_errors(), "{name} (fixed)");
-        assert!(!report.exhausted, "{name} (fixed): the space must be covered, not cut");
-        assert_eq!(report.exit_code(), 0, "{name} (fixed)");
-        assert!(
-            report.render().contains("no consistency error in any"),
-            "{name} (fixed): exhaustive verdict rendered"
-        );
     }
 }
 

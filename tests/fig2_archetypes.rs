@@ -3,6 +3,7 @@
 //! conflicting pair, and with byte-precise diagnostics.
 
 use mc_checker::apps::bugs::{archetypes, trace_of};
+use mc_checker::apps::{cases, Source};
 use mc_checker::prelude::*;
 
 #[test]
@@ -47,8 +48,9 @@ fn fig2d_origin_vs_target() {
 
 #[test]
 fn diagnostics_point_into_the_archetype_source() {
-    for (name, nprocs, body, _) in archetypes::all() {
-        let report = AnalysisSession::new().run(&trace_of(nprocs, 5, body));
+    for case in cases().iter().filter(|c| matches!(c.source, Source::Figure2(_))) {
+        let (name, report) =
+            (case.name, AnalysisSession::new().run(&trace_of(case.procs, 5, case.buggy)));
         let e = report.errors().next().unwrap();
         assert!(
             e.a.loc.file.ends_with("archetypes.rs"),

@@ -3,25 +3,14 @@
 //! and the Chrome-trace export must be valid JSON whose span set covers
 //! the whole analysis pipeline.
 
+mod common;
+use common::{sample_trace, SAMPLE};
+
 use mc_checker::apps::bugs::{self, trace_of};
 use mc_checker::prelude::*;
 use proptest::prelude::*;
 use serde::Value;
 use std::collections::BTreeSet;
-
-type BugBody = fn(&mut Proc);
-
-/// Every bug archetype in `crates/apps/src/bugs`, at a small scale.
-const ARCHETYPES: [(&str, u32, BugBody); 8] = [
-    ("adlb", 4, bugs::adlb::buggy),
-    ("mpi3_queue", 4, bugs::mpi3_queue::buggy),
-    ("bt_broadcast", 4, bugs::bt_broadcast::buggy),
-    ("emulate", 4, bugs::emulate::buggy),
-    ("jacobi", 4, bugs::jacobi::buggy),
-    ("lockopts", 4, bugs::lockopts::buggy),
-    ("pingpong", 2, bugs::pingpong::buggy),
-    ("fig2c", 3, bugs::archetypes::fig2c),
-];
 
 /// Runs one analysis into a fresh recorder and renders the snapshot.
 fn snapshot_of(trace: &Trace, engine: Engine) -> String {
@@ -32,8 +21,7 @@ fn snapshot_of(trace: &Trace, engine: Engine) -> String {
 
 #[test]
 fn metric_snapshots_identical_across_runs() {
-    for (name, nprocs, body) in ARCHETYPES {
-        let trace = trace_of(nprocs, 0xdead, body);
+    for (name, trace) in (0..SAMPLE.len()).map(|i| sample_trace(i, 0xdead)) {
         let sweep = snapshot_of(&trace, Engine::Sweep);
         assert!(sweep.contains("mcc_events_total"), "{name}: {sweep}");
         assert!(sweep.contains("mcc_shards_total"), "{name}: {sweep}");
@@ -297,9 +285,8 @@ proptest! {
     /// else a run observes) included, since the comparison is over the
     /// full rendered exposition.
     #[test]
-    fn metric_snapshots_run_invariant_at_any_seed(case in 0..8usize, seed in 0..u64::MAX) {
-        let (name, nprocs, body) = ARCHETYPES[case];
-        let trace = trace_of(nprocs, seed, body);
+    fn metric_snapshots_run_invariant_at_any_seed(case in 0..SAMPLE.len(), seed in 0..u64::MAX) {
+        let (name, trace) = sample_trace(case, seed);
         let sweep = snapshot_of(&trace, Engine::Sweep);
         prop_assert!(
             sweep.contains("mcc_shard_items_bucket"),

@@ -6,40 +6,39 @@
 //! pipeline. The contract under test: the recovered verdict is *stable* —
 //! byte-identical across the sweep and naive engines, and between
 //! streaming and batch analysis — and matches each workload's ground
-//! truth.
+//! truth. The checks are the recovery rows' cells of the differential
+//! matrix (`tests/differential.rs`); this suite also pins the
+//! simulator's own failure ledger and the exit codes that report those
+//! verdicts.
 
-use mc_checker::apps::bugs::{recovery_gallery, trace_under_faults};
+mod common;
+use common::matrix::{cells, check_batch, check_naive, check_streaming};
+
+use mc_checker::apps::{cases, Source};
 use mc_checker::core::streaming::StreamingChecker;
 use mc_checker::core::Confidence;
 use mc_checker::mpi_sim::{run_tolerant, DeliveryPolicy, SimConfig};
 use mc_checker::prelude::*;
-use recovery_gallery::RecoverySpec;
+use mc_checker::types::EventKind;
 use std::time::Duration;
 
-fn gallery_traces() -> Vec<(RecoverySpec, Trace)> {
-    recovery_gallery::gallery()
-        .into_iter()
-        .map(|(spec, faults, body)| {
-            let (trace, error) = trace_under_faults(spec.nprocs, 11, faults(), body);
-            assert!(error.is_none(), "{}: a survivable failure is not an error", spec.name);
-            (spec, trace)
-        })
-        .collect()
-}
-
 /// The runner's own ledger agrees with the spec: exactly the scheduled
-/// rank dies, after exactly the advertised number of completed epochs.
+/// rank dies, after exactly the advertised number of completed epochs,
+/// and each survivor's log — not the dead rank's — carries one
+/// notification marker.
 #[test]
 fn runner_ledger_matches_the_spec() {
-    for (spec, faults, body) in recovery_gallery::gallery() {
+    for case in cases() {
+        let Source::Recovery(spec) = case.source else { continue };
+        let faults = case.faults.expect("a recovery workload ships its failure");
         let outcome = run_tolerant(
-            SimConfig::new(spec.nprocs)
+            SimConfig::new(case.procs)
                 .with_seed(11)
                 .with_delivery(DeliveryPolicy::AtClose)
                 .with_faults(faults())
                 .expect("gallery fault plans target existing ranks")
                 .with_watchdog(Duration::from_millis(2000)),
-            body,
+            case.buggy,
         )
         .expect("gallery configuration is valid");
         assert!(outcome.error.is_none(), "{}", spec.name);
@@ -49,17 +48,23 @@ fn runner_ledger_matches_the_spec() {
             "{}: runner failure ledger",
             spec.name
         );
+        let trace = outcome.trace.expect("tracing is enabled");
+        for (r, proc) in trace.procs.iter().enumerate() {
+            let markers =
+                proc.events.iter().filter(|e| matches!(e.kind, EventKind::RankFailed { .. }));
+            let survivor = r as u32 != spec.failed_rank;
+            assert_eq!(markers.count(), usize::from(survivor), "{}: rank {r}", spec.name);
+        }
     }
 }
 
 /// The sweep and naive engines agree on every recovered report.
 #[test]
 fn recovered_report_identical_across_engines() {
-    for (spec, trace) in gallery_traces() {
-        let sweep = AnalysisSession::new().run(&trace).to_json();
-        assert!(sweep.contains("\"confidence\": \"recovered\""), "{}", spec.name);
-        let naive = AnalysisSession::builder().engine(Engine::Naive).build().run(&trace);
-        assert_eq!(sweep, naive.to_json(), "{}: engines disagree", spec.name);
+    for cell in cells().iter().filter(|c| c.is_recovery()) {
+        let sweep = cell.report(Engine::Sweep).to_json();
+        assert!(sweep.contains("\"confidence\": \"recovered\""), "{}", cell.name());
+        check_naive(cell);
     }
 }
 
@@ -67,22 +72,17 @@ fn recovered_report_identical_across_engines() {
 /// reports, byte for byte, and flags the session as recovered.
 #[test]
 fn streaming_matches_batch_on_recovery_gallery() {
-    for (spec, trace) in gallery_traces() {
-        let batch = AnalysisSession::new().run(&trace);
-        assert_eq!(batch.confidence, Confidence::Recovered, "{}", spec.name);
-        let (streamed, _stats) = StreamingChecker::run_over(&trace);
-        assert_eq!(streamed, batch.diagnostics, "{}: streamed findings diverge", spec.name);
-        let a = serde_json::to_string(&streamed).unwrap();
-        let b = serde_json::to_string(&batch.diagnostics).unwrap();
-        assert_eq!(a, b, "{}: serialized findings diverge", spec.name);
-    }
+    cells().iter().filter(|c| c.is_recovery()).for_each(|cell| {
+        check_streaming(cell);
+    });
 }
 
 /// The streaming checker's recovered flag trips exactly on failure
-/// traces.
+/// traces, fed event by event.
 #[test]
 fn streaming_recovered_flag_follows_the_markers() {
-    for (spec, trace) in gallery_traces() {
+    for cell in cells().iter().filter(|c| c.is_recovery()) {
+        let trace = &cell.trace;
         let mut sc = StreamingChecker::new(trace.nprocs()).unwrap();
         for r in 0..trace.nprocs() {
             for ev in &trace.procs[r].events {
@@ -93,10 +93,17 @@ fn streaming_recovered_flag_follows_the_markers() {
         assert!(
             sc.is_recovered(),
             "{}: streaming checker must notice the failure markers",
-            spec.name
+            cell.name()
         );
         let _ = sc.finish();
     }
+}
+
+/// Ground truth once more, through the facade: kinds, confidence, and the
+/// identity of both sides of each finding.
+#[test]
+fn gallery_ground_truth_via_facade() {
+    cells().iter().filter(|c| c.is_recovery()).for_each(check_batch);
 }
 
 /// The exit-code contract has one source of truth. Every line of
@@ -133,31 +140,4 @@ fn exit_code_table_does_not_drift() {
     // Code 2 (usage/IO) never comes out of exit_code_for; it must still
     // be documented.
     assert!(mc_checker::EXIT_CODE_TABLE.contains("2  usage or I/O error"));
-}
-
-/// Ground truth once more, through the facade: kinds, confidence, and the
-/// identity of both sides of each finding.
-#[test]
-fn gallery_ground_truth_via_facade() {
-    for (spec, trace) in gallery_traces() {
-        let report = AnalysisSession::new().run(&trace);
-        assert_eq!(report.confidence, Confidence::Recovered, "{}", spec.name);
-        let kinds: Vec<&str> = report
-            .diagnostics
-            .iter()
-            .map(|d| match d.kind {
-                mc_checker::types::ConflictKind::StaleReadFromFailedRank => {
-                    "stale-read-from-failed-rank"
-                }
-                mc_checker::types::ConflictKind::LostUpdateAcrossReexposure => {
-                    "lost-update-across-reexposure"
-                }
-                _ => "other",
-            })
-            .collect();
-        assert_eq!(kinds, spec.expected_kinds, "{}: {}", spec.name, report.render());
-        for d in &report.diagnostics {
-            assert_eq!(d.a.rank.0, spec.failed_rank, "{}: side A is the dead rank", spec.name);
-        }
-    }
 }

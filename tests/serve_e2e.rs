@@ -7,6 +7,7 @@ mod common;
 use common::{json_field, start_server, wait_until, write_json};
 
 use mc_checker::apps::bugs::{self, trace_of};
+use mc_checker::apps::case;
 use mc_checker::core::Confidence;
 use mc_checker::prelude::*;
 use mc_checker::serve::proto::{Frame, FrameReader, SessionOpts, PROTOCOL_VERSION};
@@ -28,21 +29,22 @@ fn quick_cfg() -> ServeConfig {
 /// `AnalysisSession` produces over its trace, all `Complete`.
 #[test]
 fn concurrent_sessions_each_get_their_batch_report() {
-    type BugBody = fn(&mut Proc);
-    let cases: [(&'static str, u32, BugBody); 6] = [
-        ("emulate", 4, bugs::emulate::buggy),
-        ("emulate-fixed", 4, bugs::emulate::fixed),
-        ("mpi3_queue", 4, bugs::mpi3_queue::buggy),
-        ("jacobi-fixed", 4, bugs::jacobi::fixed),
-        ("adlb", 4, bugs::adlb::buggy),
-        ("pingpong", 2, bugs::pingpong::buggy),
+    // Registry cases: (name, ranks, fixed variant?).
+    let sessions = [
+        ("emulate", 4, false),
+        ("emulate", 4, true),
+        ("mpi3-queue", 4, false),
+        ("jacobi", 4, true),
+        ("adlb", 4, false),
+        ("ping-pong", 2, false),
     ];
     let (addr, handle, _, join) = start_server(quick_cfg());
 
-    let workers: Vec<_> = cases
+    let workers: Vec<_> = sessions
         .iter()
-        .map(|&(name, nprocs, body)| {
+        .map(|&(name, nprocs, fixed)| {
             let addr = addr.clone();
+            let body = case(name).and_then(|c| c.body(fixed)).expect("a registry body");
             thread::spawn(move || {
                 let trace = trace_of(nprocs, 0xdead, body);
                 let batch = AnalysisSession::new().run(&trace).diagnostics;
@@ -51,14 +53,14 @@ fn concurrent_sessions_each_get_their_batch_report() {
                 assert_eq!(report.confidence, Confidence::Complete, "{name}");
                 assert_eq!(report.findings, batch, "{name}: daemon diverged from batch");
                 assert_eq!(report.events_ingested, trace.total_events() as u64, "{name}");
-                (name, report.findings.len())
+                (name, fixed, report.findings.len())
             })
         })
         .collect();
     let mut buggy_with_findings = 0;
     for w in workers {
-        let (name, n) = w.join().expect("client thread");
-        if !name.ends_with("-fixed") {
+        let (name, fixed, n) = w.join().expect("client thread");
+        if !fixed {
             assert!(n > 0, "{name}: buggy case must produce findings");
             buggy_with_findings += 1;
         } else {

@@ -8,7 +8,8 @@
 mod common;
 use common::{json_field, start_server, wait_until, write_json};
 
-use mc_checker::apps::bugs::{self, trace_of};
+use mc_checker::apps::bugs::trace_of;
+use mc_checker::apps::case;
 use mc_checker::core::{Confidence, StreamingChecker};
 use mc_checker::prelude::*;
 use mc_checker::serve::proto::{
@@ -188,7 +189,7 @@ fn session_cap_refuses_hellos_with_typed_busy() {
     write_json(first.get_mut(), &Frame::Finish).unwrap();
     assert!(matches!(next_frame_within(&mut first, Duration::from_secs(5)), Frame::Report { .. }));
     assert!(wait_until(|| registry.fleet().active == 0, Duration::from_secs(5)));
-    let (_reader, _) = open_session(&addr, 1, true);
+    drop(open_session(&addr, 1, true));
 
     let health = client::health_tcp(&addr).expect("health");
     assert!(json_field(&health, "rejected") >= Some(2), "{health}");
@@ -579,19 +580,20 @@ fn shedding_order_and_reports_are_deterministic() {
 /// byte-identical to an unloaded run.
 #[test]
 fn overload_spares_well_behaved_sessions() {
-    type BugBody = fn(&mut mc_checker::prelude::Proc);
-    let cases: [(&'static str, u32, BugBody); 7] = [
-        ("emulate", 4, bugs::emulate::buggy),
-        ("emulate-fixed", 4, bugs::emulate::fixed),
-        ("mpi3_queue", 4, bugs::mpi3_queue::buggy),
-        ("jacobi-fixed", 4, bugs::jacobi::fixed),
-        ("adlb", 4, bugs::adlb::buggy),
-        ("pingpong", 2, bugs::pingpong::buggy),
-        ("emulate-2", 4, bugs::emulate::buggy),
+    // Registry cases: (name, ranks, fixed variant?).
+    let sessions = [
+        ("emulate", 4, false),
+        ("emulate", 4, true),
+        ("mpi3-queue", 4, false),
+        ("jacobi", 4, true),
+        ("adlb", 4, false),
+        ("ping-pong", 2, false),
+        ("emulate", 4, false),
     ];
     let traces: Vec<(&'static str, Trace)> = (0..14)
         .map(|i| {
-            let (name, nprocs, body) = cases[i % cases.len()];
+            let (name, nprocs, fixed) = sessions[i % sessions.len()];
+            let body = case(name).and_then(|c| c.body(fixed)).expect("a registry body");
             (name, trace_of(nprocs, 0xbeef + i as u64, body))
         })
         .collect();

@@ -1,59 +1,40 @@
 //! The streaming (online) checker must agree with the batch checker on
 //! the entire bug suite — same findings on the buggy variants, silence on
-//! the fixed ones — while keeping its buffer bounded.
+//! the fixed ones — while keeping its buffer bounded. (Every built-in
+//! body: the `streaming` column of `tests/differential.rs`.)
+
+mod common;
+use common::matrix::{cells, check_streaming, Cell};
 
 use mc_checker::apps::bugs::{self, trace_of};
+use mc_checker::apps::Source;
 use mc_checker::core::streaming::StreamingChecker;
-use mc_checker::prelude::*;
 
-fn keys(v: &[ConsistencyError]) -> Vec<String> {
-    let mut k: Vec<String> = v.iter().map(|e| e.dedup_key()).collect();
-    k.sort();
-    k
+fn is_table2(cell: &&Cell) -> bool {
+    matches!(cell.case.source, Source::Table2(_))
 }
 
 #[test]
 fn streaming_matches_batch_on_buggy_suite() {
-    for (spec, body) in bugs::table2_cases() {
-        if spec.nprocs > 8 {
-            continue; // lockopts@64 is covered by the batch tests
-        }
-        let trace = trace_of(spec.nprocs, 5, body);
-        let batch = AnalysisSession::new().run(&trace);
-        let (streamed, _) = StreamingChecker::run_over(&trace);
-        assert_eq!(
-            keys(&streamed),
-            keys(&batch.diagnostics),
-            "{}: streaming and batch disagree",
-            spec.name
-        );
-        assert!(!streamed.is_empty(), "{}: bug found while streaming", spec.name);
+    for cell in cells().iter().filter(is_table2).filter(|c| !c.fixed) {
+        let streamed = check_streaming(cell);
+        assert!(!streamed.is_empty(), "{}: bug found while streaming", cell.name());
     }
 }
 
 #[test]
 fn streaming_matches_batch_on_fixed_suite() {
-    for (spec, body) in bugs::fixed_cases() {
-        if spec.nprocs > 8 {
-            continue;
-        }
-        let trace = trace_of(spec.nprocs, 5, body);
-        let (streamed, _) = StreamingChecker::run_over(&trace);
-        assert!(streamed.is_empty(), "{} (fixed) flagged by streaming", spec.name);
+    for cell in cells().iter().filter(is_table2).filter(|c| c.fixed) {
+        let streamed = check_streaming(cell);
+        assert!(streamed.is_empty(), "{} flagged by streaming", cell.name());
     }
 }
 
 #[test]
 fn streaming_matches_batch_on_extension_cases() {
-    for (spec, buggy, fixed) in bugs::extension_cases() {
-        let trace = trace_of(spec.nprocs, 5, buggy);
-        let batch = AnalysisSession::new().run(&trace);
-        let (streamed, _) = StreamingChecker::run_over(&trace);
-        assert_eq!(keys(&streamed), keys(&batch.diagnostics), "{}", spec.name);
-
-        let trace = trace_of(spec.nprocs, 5, fixed);
-        let (streamed, _) = StreamingChecker::run_over(&trace);
-        assert!(streamed.is_empty(), "{} (fixed)", spec.name);
+    for cell in cells().iter().filter(|c| matches!(c.case.source, Source::Extension(_))) {
+        let streamed = check_streaming(cell);
+        assert_eq!(streamed.is_empty(), cell.fixed, "{}", cell.name());
     }
 }
 

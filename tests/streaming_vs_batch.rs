@@ -4,11 +4,16 @@
 //! complete stream it must report exactly what the batch
 //! [`AnalysisSession`] reports — same events, same epoch ordinals, same
 //! canonical order, same deduplicated representative — so its serialized
-//! findings are byte-identical to the batch diagnostics. The wire
-//! protocol's contract is that frames round-trip and truncation is always
-//! detected, never silently parsed.
+//! findings are byte-identical to the batch diagnostics. Here it is held
+//! to that on the bug archetypes and the fixed bodies (every built-in
+//! body: the `streaming` column of `tests/differential.rs`), plus the
+//! tie-break regression. The wire protocol's contract is that frames
+//! round-trip and truncation is always detected, never silently parsed.
 
-use mc_checker::apps::bugs::{self, trace_of};
+mod common;
+use common::matrix::{cells, check_streaming};
+
+use mc_checker::apps::bugs::trace_of;
 use mc_checker::core::streaming::StreamingChecker;
 use mc_checker::prelude::*;
 use mc_checker::serve::proto::{decode_frame, encode_frame_with, Frame, ProtoError, SessionOpts};
@@ -16,54 +21,20 @@ use mc_checker::serve::CodecKind;
 use mc_checker::types::{EventKind, SourceLoc, WinId};
 use proptest::prelude::*;
 
-type BugBody = fn(&mut Proc);
-
-/// Every bug archetype in `crates/apps/src/bugs`, at a small scale.
-fn archetypes() -> [(&'static str, u32, BugBody); 8] {
-    [
-        ("adlb", 4, bugs::adlb::buggy),
-        ("mpi3_queue", 4, bugs::mpi3_queue::buggy),
-        ("bt_broadcast", 4, bugs::bt_broadcast::buggy),
-        ("emulate", 4, bugs::emulate::buggy),
-        ("jacobi", 4, bugs::jacobi::buggy),
-        ("lockopts", 4, bugs::lockopts::buggy),
-        ("pingpong", 2, bugs::pingpong::buggy),
-        ("fig2c", 3, bugs::archetypes::fig2c),
-    ]
-}
-
 #[test]
 fn streaming_findings_equal_batch_on_every_archetype() {
-    for (name, nprocs, body) in archetypes() {
-        let trace = trace_of(nprocs, 0xdead, body);
-        let batch = AnalysisSession::new().run(&trace);
-        let (streamed, stats) = StreamingChecker::run_over(&trace);
-        assert!(!batch.diagnostics.is_empty(), "{name}: archetype must exhibit its bug");
-        assert_eq!(streamed, batch.diagnostics, "{name}: streamed findings diverge from batch");
-        // Byte-level: the serialized documents agree too.
-        let a = serde_json::to_string(&streamed).unwrap();
-        let b = serde_json::to_string(&batch.diagnostics).unwrap();
-        assert_eq!(a, b, "{name}: serialized findings diverge");
-        assert_eq!(stats.total_events, trace.total_events(), "{name}");
-        assert_eq!(stats.evictions, 0, "{name}: no cap set, nothing may be evicted");
+    for cell in cells().iter().filter(|c| c.is_archetype()) {
+        let batch = cell.report(Engine::Sweep);
+        assert!(!batch.diagnostics.is_empty(), "{}: archetype must exhibit its bug", cell.name());
+        check_streaming(cell);
     }
 }
 
 #[test]
 fn streaming_findings_equal_batch_on_fixed_variants() {
-    let fixed: [(&'static str, u32, BugBody); 5] = [
-        ("emulate", 4, bugs::emulate::fixed),
-        ("bt_broadcast", 4, bugs::bt_broadcast::fixed),
-        ("jacobi", 4, bugs::jacobi::fixed),
-        ("pingpong", 2, bugs::pingpong::fixed),
-        ("mpi3_queue", 4, bugs::mpi3_queue::fixed),
-    ];
-    for (name, nprocs, body) in fixed {
-        let trace = trace_of(nprocs, 0xdead, body);
-        let batch = AnalysisSession::new().run(&trace);
-        let (streamed, _) = StreamingChecker::run_over(&trace);
-        assert_eq!(streamed, batch.diagnostics, "{name} (fixed)");
-    }
+    cells().iter().filter(|c| c.fixed).for_each(|cell| {
+        check_streaming(cell);
+    });
 }
 
 /// Two unordered puts from one origin to one target produce an
@@ -99,11 +70,10 @@ fn tie_between_intra_and_cross_findings_matches_batch_order() {
 #[test]
 fn streaming_findings_all_carry_complete_confidence() {
     use mc_checker::core::Confidence;
-    for (name, nprocs, body) in archetypes() {
-        let trace = trace_of(nprocs, 0xdead, body);
-        let (streamed, _) = StreamingChecker::run_over(&trace);
+    for cell in cells().iter().filter(|c| c.is_archetype()) {
+        let (streamed, _) = StreamingChecker::run_over(&cell.trace);
         for f in &streamed {
-            assert_eq!(f.confidence, Confidence::Complete, "{name}");
+            assert_eq!(f.confidence, Confidence::Complete, "{}", cell.name());
         }
     }
 }

@@ -2,13 +2,22 @@
 //! the paper's process counts, with the expected scope, root-cause pair,
 //! and severity — and every fixed variant clean.
 
-use mc_checker::apps::bugs::{self, fixed_cases, table2_cases, trace_of};
+use mc_checker::apps::bugs::{self, trace_of, BugSpec};
+use mc_checker::apps::{cases, Case, Source};
 use mc_checker::prelude::*;
+
+/// The Table II rows of the case registry.
+fn table2() -> impl Iterator<Item = (BugSpec, &'static Case)> {
+    cases().iter().filter_map(|c| match c.source {
+        Source::Table2(spec) => Some((spec, c)),
+        _ => None,
+    })
+}
 
 #[test]
 fn all_five_bugs_detected_at_paper_scale() {
-    for (spec, body) in table2_cases() {
-        let trace = trace_of(spec.nprocs, 0xdead, body);
+    for (spec, case) in table2() {
+        let trace = trace_of(case.procs, 0xdead, case.buggy);
         let report = AnalysisSession::new().run(&trace);
         assert!(report.has_errors(), "{} not detected", spec.name);
         // Scope matches the paper's "error location" column.
@@ -33,8 +42,8 @@ fn all_five_bugs_detected_at_paper_scale() {
 
 #[test]
 fn no_false_positives_on_fixed_variants() {
-    for (spec, body) in fixed_cases() {
-        let trace = trace_of(spec.nprocs, 0xdead, body);
+    for (spec, case) in table2() {
+        let trace = trace_of(case.procs, 0xdead, case.fixed.expect("Table II rows have both"));
         let report = AnalysisSession::new().run(&trace);
         assert_eq!(
             report.diagnostics.len(),
@@ -69,8 +78,8 @@ fn exclusive_lock_demotion_matches_paper() {
 
 #[test]
 fn detection_independent_of_checker_options() {
-    for (spec, body) in table2_cases() {
-        let trace = trace_of(spec.nprocs.min(8), 0xdead, body);
+    for (spec, case) in table2() {
+        let trace = trace_of(case.procs.min(8), 0xdead, case.buggy);
         let baseline = AnalysisSession::new().run(&trace).diagnostics.len();
         for (name, session) in [
             ("naive engine", AnalysisSession::builder().engine(Engine::Naive).build()),

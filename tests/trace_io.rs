@@ -1,27 +1,22 @@
 //! Integration test for the Profiler→DN-Analyzer file boundary: traces
 //! survive the on-disk round trip byte-exactly and produce identical
-//! reports, mirroring the paper's offline analysis workflow.
+//! reports, mirroring the paper's offline analysis workflow. (Every
+//! built-in body: the `disk` column of `tests/differential.rs`.)
 
-use mc_checker::apps::bugs::{self, trace_of};
+mod common;
+use common::matrix::{cells, check_disk};
+
+use mc_checker::apps::Source;
 use mc_checker::prelude::*;
 use mc_checker::profiler::{read_trace_dir, write_trace_dir};
+use mc_checker::types::EventKind;
 
 #[test]
 fn reports_identical_after_disk_round_trip() {
-    let dir = std::env::temp_dir().join(format!("mcc-it-roundtrip-{}", std::process::id()));
-    for (spec, body) in bugs::table2_cases() {
-        if spec.nprocs > 8 {
-            continue; // keep the I/O test snappy
-        }
-        let trace = trace_of(spec.nprocs, 3, body);
-        write_trace_dir(&trace, &dir).unwrap();
-        let loaded = read_trace_dir(&dir).unwrap();
-        assert_eq!(trace, loaded, "{}: lossless round trip", spec.name);
-        let a = AnalysisSession::new().run(&trace);
-        let b = AnalysisSession::new().run(&loaded);
-        assert_eq!(a.diagnostics, b.diagnostics, "{}", spec.name);
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    cells()
+        .iter()
+        .filter(|c| !c.fixed && matches!(c.case.source, Source::Table2(_)))
+        .for_each(check_disk);
 }
 
 #[test]
@@ -59,24 +54,12 @@ fn big_trace_round_trip() {
 /// the recovered report is identical on both sides.
 #[test]
 fn recovery_markers_survive_the_disk_round_trip() {
-    use mc_checker::apps::bugs::{recovery_gallery, trace_under_faults};
-    use mc_checker::types::EventKind;
-
-    let dir = std::env::temp_dir().join(format!("mcc-it-recovery-rt-{}", std::process::id()));
-    for (spec, faults, body) in recovery_gallery::gallery() {
-        let (trace, error) = trace_under_faults(spec.nprocs, 11, faults(), body);
-        assert!(error.is_none(), "{}", spec.name);
+    for cell in cells().iter().filter(|c| c.is_recovery()) {
         assert!(
-            trace.iter_events().any(|(_, e)| matches!(e.kind, EventKind::RankFailed { .. })),
+            cell.trace.iter_events().any(|(_, e)| matches!(e.kind, EventKind::RankFailed { .. })),
             "{}: failure trace carries its markers",
-            spec.name
+            cell.name()
         );
-        write_trace_dir(&trace, &dir).unwrap();
-        let loaded = read_trace_dir(&dir).unwrap();
-        assert_eq!(trace, loaded, "{}: lossless round trip", spec.name);
-        let a = AnalysisSession::new().run(&trace);
-        let b = AnalysisSession::new().run(&loaded);
-        assert_eq!(a.to_json(), b.to_json(), "{}: identical recovered reports", spec.name);
+        check_disk(cell);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
