@@ -44,7 +44,7 @@ fn bench_streaming_vs_batch(c: &mut Criterion) {
         let session = AnalysisSession::new();
         b.iter(|| session.run(&t));
     });
-    g.bench_function("streaming", |b| b.iter(|| StreamingChecker::run_over(&t)));
+    g.bench_function("streaming", |b| b.iter(|| StreamingChecker::run_over(&t).unwrap()));
     g.finish();
 }
 

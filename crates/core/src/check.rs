@@ -257,6 +257,7 @@ impl CheckReport {
                 self.0.clone()
             }
         }
+        // A `Value` built from integers and strings always prints.
         let mut s = serde_json::to_string_pretty(&Doc(doc)).expect("report JSON rendering");
         s.push('\n');
         s

@@ -144,18 +144,14 @@ pub fn build(trace: &Trace, ctx: &Ctx, matching: &Matching) -> Dag {
             let er = EventRef::new(rank, idx);
 
             // All one-sided communication flavours float off the chain.
+            // Window and target lookups cannot miss: see `Ctx::target_abs`.
             if let Some((win, target_abs, req)) = match &event.kind {
-                EventKind::Rma(op) => {
-                    let meta = &ctx.wins[&op.win];
-                    Some((op.win.0, ctx.abs_rank(meta.comm, op.target).0, None))
-                }
+                EventKind::Rma(op) => Some((op.win.0, ctx.target_abs(op.win, op.target).0, None)),
                 EventKind::RmaAtomic(op) => {
-                    let meta = &ctx.wins[&op.win];
-                    Some((op.win.0, ctx.abs_rank(meta.comm, op.target).0, None))
+                    Some((op.win.0, ctx.target_abs(op.win, op.target).0, None))
                 }
                 EventKind::RmaReq { op, req } => {
-                    let meta = &ctx.wins[&op.win];
-                    Some((op.win.0, ctx.abs_rank(meta.comm, op.target).0, Some(*req)))
+                    Some((op.win.0, ctx.target_abs(op.win, op.target).0, Some(*req)))
                 }
                 _ => None,
             } {
@@ -197,13 +193,11 @@ pub fn build(trace: &Trace, ctx: &Ctx, matching: &Matching) -> Dag {
                     close_ops(&mut dag, ops, enter);
                 }
                 EventKind::Lock { win, target, .. } => {
-                    let meta = &ctx.wins[win];
-                    let abs = ctx.abs_rank(meta.comm, *target);
+                    let abs = ctx.target_abs(*win, *target);
                     lock_held.insert((win.0, abs.0));
                 }
                 EventKind::Unlock { win, target } => {
-                    let meta = &ctx.wins[win];
-                    let abs = ctx.abs_rank(meta.comm, *target);
+                    let abs = ctx.target_abs(*win, *target);
                     lock_held.remove(&(win.0, abs.0));
                     let ops = lock_pending.remove(&(win.0, abs.0)).unwrap_or_default();
                     close_ops(&mut dag, ops, enter);
@@ -223,8 +217,7 @@ pub fn build(trace: &Trace, ctx: &Ctx, matching: &Matching) -> Dag {
                 EventKind::Flush { win, target } => {
                     // Consistency order: completes pending ops to that
                     // target without closing the epoch.
-                    let meta = &ctx.wins[win];
-                    let abs = ctx.abs_rank(meta.comm, *target);
+                    let abs = ctx.target_abs(*win, *target);
                     let ops = lock_pending.remove(&(win.0, abs.0)).unwrap_or_default();
                     close_ops(&mut dag, ops, enter);
                 }

@@ -11,28 +11,38 @@
 //!
 //! [`sanitize`] makes such a trace checkable instead of fatal:
 //!
-//! 1. **Drop** every event the pipeline could not resolve — operations on
-//!    windows whose collective creation is incomplete, RMA with
-//!    out-of-range targets or undefined datatypes, and support events
-//!    whose own definitions reference unknown handles.
+//! 1. **Drop** every event the resolver refuses
+//!    ([`crate::preprocess::resolve`]) — operations on windows whose
+//!    collective creation is incomplete, RMA with out-of-range targets,
+//!    undefined datatypes or footprints outside the target's window, and
+//!    support events whose own definitions reference unknown handles.
 //! 2. **Synthesize closure** for epochs left open at a rank's truncation
 //!    point: a closing fence, unlock, complete or wait is appended (with
 //!    an unknown source location) so the surviving operations still land
 //!    in a finished epoch and reach the detectors.
+//! 3. **Break happens-before cycles**: matched synchronization that waits
+//!    on itself (a run would deadlock) loses the event that closes the
+//!    cycle — every cycle of the graph in one round, one event per
+//!    strongly connected component — and the trace is repaired again.
 //!
 //! Everything removed or invented is recorded in [`DegradedInfo`]; any
 //! non-empty record downgrades the report's confidence (see
 //! [`crate::report::Confidence`]).
 
-use mcc_types::{CommId, DatatypeId, Event, EventKind, GroupId, LocId, Rank, Trace, WinId};
-use std::collections::{HashMap, HashSet};
+use crate::preprocess::{self, Ctx, TraceError};
+use crate::vc::Clocks;
+use crate::{dag, matching};
+use mcc_obs::RecorderHandle;
+use mcc_types::{Event, EventKind, EventRef, LocId, Rank, Trace, WinId};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// What [`sanitize`] had to do to make a trace checkable.
 #[derive(Debug, Default, Clone)]
 pub struct DegradedInfo {
-    /// Events removed, as `(rank, index in the original log, reason)`.
-    pub dropped: Vec<(Rank, usize, String)>,
+    /// Events removed, in (rank, index in the original log) order.
+    pub dropped: Vec<TraceError>,
     /// Synthetic closing events appended, as `(rank, description)`.
     pub synthesized: Vec<(Rank, String)>,
 }
@@ -60,234 +70,13 @@ impl DegradedInfo {
 impl fmt::Display for DegradedInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.summary())?;
-        for (rank, idx, reason) in &self.dropped {
-            writeln!(f, "  dropped {rank}#{idx}: {reason}")?;
+        for e in &self.dropped {
+            writeln!(f, "  dropped {e}")?;
         }
         for (rank, what) in &self.synthesized {
             writeln!(f, "  appended at {rank}: {what}")?;
         }
         Ok(())
-    }
-}
-
-/// Mirror of the preprocessing tables, built tolerantly: invalid defining
-/// events are noted instead of being fatal.
-struct Tables {
-    groups: Vec<HashMap<GroupId, Vec<Rank>>>,
-    comms: HashMap<CommId, Vec<Rank>>,
-    dtypes: Vec<HashSet<DatatypeId>>,
-    /// Definition events that must be dropped, keyed by `(rank, idx)`.
-    invalid: HashMap<(usize, usize), String>,
-    /// Members of each window whose creation is complete (the comm is
-    /// known and every member logged a `WinCreate`).
-    complete_wins: HashMap<WinId, Vec<Rank>>,
-}
-
-fn dtype_ok(tables: &Tables, rank: usize, id: DatatypeId) -> bool {
-    id.primitive_size().is_some() || tables.dtypes[rank].contains(&id)
-}
-
-/// Pass 1: replay the support-event scan exactly as `preprocess` would,
-/// but record invalid definitions instead of panicking, and work out
-/// which windows were completely created.
-fn build_tables(trace: &Trace) -> Tables {
-    let n = trace.nprocs();
-    let world: Vec<Rank> = (0..n as u32).map(Rank).collect();
-    let mut tables = Tables {
-        groups: vec![HashMap::new(); n],
-        comms: HashMap::new(),
-        dtypes: vec![HashSet::new(); n],
-        invalid: HashMap::new(),
-        complete_wins: HashMap::new(),
-    };
-    tables.comms.insert(CommId::WORLD, world.clone());
-    for g in &mut tables.groups {
-        g.insert(GroupId::WORLD, world.clone());
-    }
-    let mut win_parts: HashMap<WinId, (CommId, HashSet<Rank>)> = HashMap::new();
-
-    for (er, event) in trace.iter_events() {
-        let r = er.rank.idx();
-        let key = (r, er.idx);
-        match &event.kind {
-            EventKind::GroupIncl { old, new, ranks } => {
-                let Some(old_members) = tables.groups[r].get(old) else {
-                    tables.invalid.insert(key, format!("GroupIncl references unknown {old}"));
-                    continue;
-                };
-                if ranks.iter().any(|&i| i as usize >= old_members.len()) {
-                    tables.invalid.insert(key, format!("GroupIncl index out of range for {old}"));
-                    continue;
-                }
-                let members: Vec<Rank> = ranks.iter().map(|&i| old_members[i as usize]).collect();
-                tables.groups[r].insert(*new, members);
-            }
-            EventKind::CommGroup { comm, group } => match tables.comms.get(comm) {
-                Some(members) => {
-                    let members = members.clone();
-                    tables.groups[r].insert(*group, members);
-                }
-                None => {
-                    tables.invalid.insert(key, format!("CommGroup references unknown {comm}"));
-                }
-            },
-            EventKind::CommCreate { group, new: Some(c), .. } => {
-                match tables.groups[r].get(group) {
-                    Some(members) => {
-                        let members = members.clone();
-                        tables.comms.insert(*c, members);
-                    }
-                    None => {
-                        tables
-                            .invalid
-                            .insert(key, format!("CommCreate references unknown {group}"));
-                    }
-                }
-            }
-            EventKind::WinCreate { win, comm, .. } => {
-                let entry = win_parts.entry(*win).or_insert_with(|| (*comm, HashSet::new()));
-                entry.1.insert(er.rank);
-            }
-            EventKind::TypeContiguous { new, elem, .. }
-            | EventKind::TypeVector { new, elem, .. } => {
-                if dtype_ok(&tables, r, *elem) {
-                    tables.dtypes[r].insert(*new);
-                } else {
-                    tables
-                        .invalid
-                        .insert(key, format!("datatype definition references unknown {elem}"));
-                }
-            }
-            EventKind::TypeStruct { new, fields } => {
-                if fields.iter().all(|&(_, _, ty)| dtype_ok(&tables, r, ty)) {
-                    tables.dtypes[r].insert(*new);
-                } else {
-                    tables.invalid.insert(
-                        key,
-                        "datatype definition references an unknown field type".to_string(),
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
-
-    for (win, (comm, parts)) in win_parts {
-        if let Some(members) = tables.comms.get(&comm) {
-            if members.iter().all(|m| parts.contains(m)) {
-                tables.complete_wins.insert(win, members.clone());
-            }
-        }
-    }
-    tables
-}
-
-/// Why (if at all) an event must be dropped. `None` means keep.
-fn drop_reason(tables: &Tables, rank: usize, idx: usize, kind: &EventKind) -> Option<String> {
-    let win_members = |win: &WinId| tables.complete_wins.get(win);
-    let comm_members = |comm: &CommId| tables.comms.get(comm);
-    match kind {
-        EventKind::GroupIncl { .. }
-        | EventKind::CommGroup { .. }
-        | EventKind::CommCreate { .. }
-        | EventKind::TypeContiguous { .. }
-        | EventKind::TypeVector { .. }
-        | EventKind::TypeStruct { .. } => tables.invalid.get(&(rank, idx)).cloned(),
-        EventKind::WinCreate { win, .. }
-        | EventKind::Fence { win }
-        | EventKind::WinFree { win } => {
-            win_members(win).is_none().then(|| format!("{} on incomplete {win}", kind.call_name()))
-        }
-        EventKind::Lock { win, target, .. }
-        | EventKind::Unlock { win, target }
-        | EventKind::Flush { win, target } => match win_members(win) {
-            None => Some(format!("{} on incomplete {win}", kind.call_name())),
-            Some(m) if target.0 as usize >= m.len() => {
-                Some(format!("{} target {target} out of range for {win}", kind.call_name()))
-            }
-            Some(_) => None,
-        },
-        EventKind::Rma(op) | EventKind::RmaReq { op, .. } => match win_members(&op.win) {
-            None => Some(format!("{} on incomplete {}", kind.call_name(), op.win)),
-            Some(m) if op.target.0 as usize >= m.len() => Some(format!(
-                "{} target {} out of range for {}",
-                kind.call_name(),
-                op.target,
-                op.win
-            )),
-            Some(_) if !dtype_ok(tables, rank, op.origin_dtype) => {
-                Some(format!("{} uses unknown {}", kind.call_name(), op.origin_dtype))
-            }
-            Some(_) if !dtype_ok(tables, rank, op.target_dtype) => {
-                Some(format!("{} uses unknown {}", kind.call_name(), op.target_dtype))
-            }
-            Some(_) => None,
-        },
-        EventKind::RmaAtomic(op) => match win_members(&op.win) {
-            None => Some(format!("{} on incomplete {}", kind.call_name(), op.win)),
-            Some(m) if op.target.0 as usize >= m.len() => Some(format!(
-                "{} target {} out of range for {}",
-                kind.call_name(),
-                op.target,
-                op.win
-            )),
-            Some(_) if op.dtype.primitive_size().is_none() => {
-                Some(format!("{} uses non-primitive {}", kind.call_name(), op.dtype))
-            }
-            Some(_) => None,
-        },
-        EventKind::Send { comm, to, .. } | EventKind::Isend { comm, to, .. } => {
-            match comm_members(comm) {
-                None => Some(format!("{} on unknown {comm}", kind.call_name())),
-                Some(m) if to.0 as usize >= m.len() => {
-                    Some(format!("{} peer {to} out of range for {comm}", kind.call_name()))
-                }
-                Some(_) => None,
-            }
-        }
-        EventKind::Recv { comm, from, .. } | EventKind::Irecv { comm, from, .. } => {
-            match comm_members(comm) {
-                None => Some(format!("{} on unknown {comm}", kind.call_name())),
-                Some(m) if from.0 as usize >= m.len() => {
-                    Some(format!("{} peer {from} out of range for {comm}", kind.call_name()))
-                }
-                Some(_) => None,
-            }
-        }
-        EventKind::Bcast { comm, root, .. } | EventKind::Reduce { comm, root, .. } => {
-            match comm_members(comm) {
-                None => Some(format!("{} on unknown {comm}", kind.call_name())),
-                Some(m) if root.0 as usize >= m.len() => {
-                    Some(format!("{} root {root} out of range for {comm}", kind.call_name()))
-                }
-                Some(_) => None,
-            }
-        }
-        EventKind::Barrier { comm } | EventKind::Allreduce { comm, .. } => {
-            comm_members(comm).is_none().then(|| format!("{} on unknown {comm}", kind.call_name()))
-        }
-        EventKind::Post { group, .. } | EventKind::Start { group, .. } => (!tables.groups[rank]
-            .contains_key(group))
-        .then(|| format!("{} references unknown {group}", kind.call_name())),
-        // Safe everywhere: closes are no-ops when nothing is open, waits
-        // on unknown requests are ignored, and local accesses and query
-        // calls reference nothing.
-        EventKind::LockAll { .. }
-        | EventKind::UnlockAll { .. }
-        | EventKind::FlushAll { .. }
-        | EventKind::Complete { .. }
-        | EventKind::WaitWin { .. }
-        | EventKind::WaitReq { .. }
-        | EventKind::CommRank { .. }
-        | EventKind::CommSize { .. }
-        | EventKind::Load { .. }
-        | EventKind::Store { .. } => None,
-        // Failure/recovery markers are inert annotations: they reference
-        // no epoch or communicator state, so they are always kept.
-        EventKind::RankFailed { .. }
-        | EventKind::WinReexpose { .. }
-        | EventKind::Checkpoint { .. }
-        | EventKind::Restore { .. } => None,
     }
 }
 
@@ -299,46 +88,40 @@ struct PassiveOpen {
     has_ops: bool,
 }
 
-/// Pass 3: replay the epoch-extraction state machine over one rank's kept
+/// Replay the epoch-extraction state machine over one rank's kept
 /// events and append synthetic closes for whatever is still open.
-fn synthesize_closure(
-    rank: Rank,
-    events: &mut Vec<Event>,
-    tables: &Tables,
-    info: &mut DegradedInfo,
-) {
+fn synthesize_closure(rank: Rank, events: &mut Vec<Event>, ctx: &Ctx, info: &mut DegradedInfo) {
     let mut fence_pending: HashMap<u32, bool> = HashMap::new();
     let mut passive: HashMap<(u32, u32), PassiveOpen> = HashMap::new();
     let mut lock_all_open: HashSet<u32> = HashSet::new();
     let mut access_open: HashMap<u32, bool> = HashMap::new();
-    let mut exposure_open: HashSet<u32> = HashSet::new();
-    let abs = |win: &WinId, rel: Rank| -> u32 {
-        // Kept events passed the range checks, so the lookups succeed.
-        tables.complete_wins[win][rel.0 as usize].0
-    };
+    let mut exposure_open: BTreeSet<u32> = BTreeSet::new();
+    // Kept events resolved, so the lookups succeed.
+    let abs = |win: &WinId, rel: Rank| -> u32 { ctx.target_abs(*win, rel).0 };
 
     for event in events.iter() {
+        let op = match &event.kind {
+            EventKind::Rma(op) | EventKind::RmaReq { op, .. } => Some((op.win, op.target)),
+            EventKind::RmaAtomic(op) => Some((op.win, op.target)),
+            _ => None,
+        };
+        // An op is attributed as the epoch extractor attributes it:
+        // passive sub-epoch first, then a lazily-opened lock_all
+        // sub-epoch, then the access epoch, then the ambient fence epoch.
+        if let Some((win, rel)) = op {
+            let key = (win.0, abs(&win, rel));
+            if let Some(p) = passive.get_mut(&key) {
+                p.has_ops = true;
+            } else if lock_all_open.contains(&win.0) {
+                passive.insert(key, PassiveOpen { lock_target_rel: None, has_ops: true });
+            } else if let Some(ops) = access_open.get_mut(&win.0) {
+                *ops = true;
+            } else {
+                fence_pending.insert(win.0, true);
+            }
+            continue;
+        }
         match &event.kind {
-            EventKind::Rma(op) | EventKind::RmaReq { op, .. } => {
-                attribute_op(
-                    op.win,
-                    abs(&op.win, op.target),
-                    &mut fence_pending,
-                    &mut passive,
-                    &lock_all_open,
-                    &mut access_open,
-                );
-            }
-            EventKind::RmaAtomic(op) => {
-                attribute_op(
-                    op.win,
-                    abs(&op.win, op.target),
-                    &mut fence_pending,
-                    &mut passive,
-                    &lock_all_open,
-                    &mut access_open,
-                );
-            }
             EventKind::Fence { win } => {
                 fence_pending.insert(win.0, false);
             }
@@ -386,108 +169,137 @@ fn synthesize_closure(
         }
     }
 
-    let append = |events: &mut Vec<Event>, info: &mut DegradedInfo, kind: EventKind| {
-        info.synthesized.push((rank, format!("synthetic {} for an open epoch", kind.call_name())));
-        events.push(Event::new(kind, LocId::UNKNOWN));
-    };
-
     // Deterministic order: per category, ascending window id. Collectives
     // (fences) go last so passive/active epochs are closed first.
-    let mut unlocks: Vec<(u32, Rank)> = Vec::new();
-    let mut unlock_alls: HashSet<u32> = HashSet::new();
-    for (&(w, _), p) in &passive {
-        if !p.has_ops {
-            continue;
-        }
-        match p.lock_target_rel {
-            Some(rel) => unlocks.push((w, rel)),
-            None => {
-                unlock_alls.insert(w);
-            }
-        }
-    }
-    unlocks.sort_unstable_by_key(|&(w, rel)| (w, rel.0));
-    for (w, rel) in unlocks {
-        append(events, info, EventKind::Unlock { win: WinId(w), target: rel });
-    }
-    let mut unlock_alls: Vec<u32> = unlock_alls.into_iter().collect();
-    unlock_alls.sort_unstable();
-    for w in unlock_alls {
-        append(events, info, EventKind::UnlockAll { win: WinId(w) });
-    }
-    let mut completes: Vec<u32> =
-        access_open.iter().filter(|&(_, &ops)| ops).map(|(&w, _)| w).collect();
-    completes.sort_unstable();
-    for w in completes {
-        append(events, info, EventKind::Complete { win: WinId(w) });
-    }
-    let mut waits: Vec<u32> = exposure_open.into_iter().collect();
-    waits.sort_unstable();
-    for w in waits {
-        append(events, info, EventKind::WaitWin { win: WinId(w) });
-    }
-    let mut fences: Vec<u32> =
-        fence_pending.iter().filter(|&(_, &ops)| ops).map(|(&w, _)| w).collect();
-    fences.sort_unstable();
-    for w in fences {
-        append(events, info, EventKind::Fence { win: WinId(w) });
-    }
-}
-
-/// Mirrors the epoch extractor's attribution of a one-sided op: passive
-/// sub-epoch first, then a lazily-opened lock_all sub-epoch, then the
-/// access epoch, then the ambient fence epoch.
-fn attribute_op(
-    win: WinId,
-    target_abs: u32,
-    fence_pending: &mut HashMap<u32, bool>,
-    passive: &mut HashMap<(u32, u32), PassiveOpen>,
-    lock_all_open: &HashSet<u32>,
-    access_open: &mut HashMap<u32, bool>,
-) {
-    let key = (win.0, target_abs);
-    if let Some(p) = passive.get_mut(&key) {
-        p.has_ops = true;
-    } else if lock_all_open.contains(&win.0) {
-        passive.insert(key, PassiveOpen { lock_target_rel: None, has_ops: true });
-    } else if let Some(ops) = access_open.get_mut(&win.0) {
-        *ops = true;
-    } else {
-        fence_pending.insert(win.0, true);
+    let open = passive.iter().filter(|(_, p)| p.has_ops);
+    let unlocks: BTreeSet<(u32, u32)> =
+        open.clone().filter_map(|(&(w, _), p)| Some((w, p.lock_target_rel?.0))).collect();
+    let unlock_alls: BTreeSet<u32> =
+        open.filter(|(_, p)| p.lock_target_rel.is_none()).map(|(&(w, _), _)| w).collect();
+    let pending = |m: &HashMap<u32, bool>| -> BTreeSet<u32> {
+        m.iter().filter(|&(_, &ops)| ops).map(|(&w, _)| w).collect()
+    };
+    let closes = (unlocks.into_iter())
+        .map(|(w, t)| EventKind::Unlock { win: WinId(w), target: Rank(t) })
+        .chain(unlock_alls.into_iter().map(|w| EventKind::UnlockAll { win: WinId(w) }))
+        .chain(pending(&access_open).into_iter().map(|w| EventKind::Complete { win: WinId(w) }))
+        .chain(exposure_open.into_iter().map(|w| EventKind::WaitWin { win: WinId(w) }))
+        .chain(pending(&fence_pending).into_iter().map(|w| EventKind::Fence { win: WinId(w) }));
+    for kind in closes {
+        info.synthesized.push((rank, format!("synthetic {} for an open epoch", kind.call_name())));
+        events.push(Event::new(kind, LocId::UNKNOWN));
     }
 }
 
 /// Repairs a damaged trace into one the full pipeline can analyze.
 ///
 /// Returns the repaired trace plus a record of everything dropped or
-/// synthesized. The result is guaranteed not to trip any of the
-/// pipeline's internal consistency panics, whatever the input — this is
-/// the checker-side counterpart of the profiler's tolerant reader.
+/// synthesized. The result resolves cleanly and its happens-before graph
+/// is acyclic, whatever the input — this is the checker-side counterpart
+/// of the profiler's tolerant reader.
 pub fn sanitize(trace: &Trace) -> (Trace, DegradedInfo) {
-    let tables = build_tables(trace);
-    let mut info = DegradedInfo::default();
-    let mut out = Trace::new(trace.nprocs());
+    let ((), repaired, info) = repair(trace, &RecorderHandle::disabled(), |out, ctx, _| {
+        let dag = dag::build(out, &ctx, &matching::match_sync(out, &ctx));
+        Clocks::try_compute(&dag).map(drop)
+    });
+    (repaired, info)
+}
 
-    for (r, proc) in trace.procs.iter().enumerate() {
-        let dst = &mut out.procs[r];
-        dst.locs = proc.locs.clone();
-        for (idx, event) in proc.events.iter().enumerate() {
-            match drop_reason(&tables, r, idx, &event.kind) {
-                Some(reason) => info.dropped.push((Rank(r as u32), idx, reason)),
-                None => dst.events.push(event.clone()),
+/// Rounds in which [`repair`] breaks each happens-before cycle at one
+/// event. After them a cycle loses every logged event on it, so a trace
+/// built to need one round per event cannot hold the repair.
+const PRECISE_CYCLE_ROUNDS: usize = 4;
+
+/// [`sanitize`], with the analysis of the result run inside: `analyze`
+/// gets the repaired trace, its context and the time spent resolving
+/// (each resolution inside a `check.preprocess` span of `obs`). It may
+/// only fail on happens-before cycles; each loses an event and the
+/// repair runs again. The tolerant analyses use this to build the DAG
+/// once.
+pub(crate) fn repair<T>(
+    trace: &Trace,
+    obs: &RecorderHandle,
+    mut analyze: impl FnMut(&Trace, Ctx, Duration) -> Result<T, Vec<Vec<EventRef>>>,
+) -> (T, Trace, DegradedInfo) {
+    let mut dropped: Vec<TraceError> = Vec::new();
+    let mut resolve_time = Duration::ZERO;
+    let mut cycle_rounds = 0;
+    loop {
+        // The trace without the dropped events; `kept[r][i]` is the
+        // original index of the repaired trace's event `i` at rank `r`.
+        let mut out = Trace::new(trace.nprocs());
+        let mut kept: Vec<Vec<usize>> = vec![Vec::new(); trace.nprocs()];
+        let mut next_drop = dropped.iter().peekable();
+        for (r, proc) in trace.procs.iter().enumerate() {
+            out.procs[r].locs = proc.locs.clone();
+            for (idx, event) in proc.events.iter().enumerate() {
+                if next_drop.next_if(|e| (e.rank.idx(), e.idx) == (r, idx)).is_none() {
+                    out.procs[r].events.push(event.clone());
+                    kept[r].push(idx);
+                }
             }
         }
+        let t0 = Instant::now();
+        let (ctx, errors) = {
+            let _s = obs.span("check.preprocess");
+            preprocess::resolve(&out)
+        };
+        resolve_time += t0.elapsed();
+        if !errors.is_empty() {
+            // `out` holds no synthesized event yet, so every error maps
+            // back to a logged one.
+            for mut e in errors {
+                e.idx = kept[e.rank.idx()][e.idx];
+                dropped.push(e);
+            }
+            dropped.sort_by_key(|e| (e.rank, e.idx));
+            continue;
+        }
+        let mut info = DegradedInfo { dropped: dropped.clone(), synthesized: Vec::new() };
+        for (r, proc) in out.procs.iter_mut().enumerate() {
+            synthesize_closure(Rank(r as u32), &mut proc.events, &ctx, &mut info);
+        }
+        let cycles = match analyze(&out, ctx, resolve_time) {
+            Ok(t) => return (t, out, info),
+            Err(cycles) => cycles,
+        };
+        // `out` resolves, so the analysis failed on cycles, one per
+        // strongly connected component. Break every one of them this
+        // round; synthesized closes alone never form a cycle, so each
+        // has a logged event and the loop ends.
+        cycle_rounds += 1;
+        let logged =
+            |e: &EventRef| kept[e.rank.idx()].get(e.idx).map(|&i| EventRef::new(e.rank, i));
+        for mut path in cycles {
+            // Drop one logged event, preferring the receiving end of a
+            // cross-rank edge; after the precise rounds, every one.
+            let k = path.len();
+            let crossing = (0..k).filter(|&i| path[(i + k - 1) % k].rank != path[i].rank);
+            let at = crossing.chain(0..k).find(|&i| logged(&path[i]).is_some());
+            path.rotate_left(at.expect("every happens-before cycle passes a logged event"));
+            for er in path.iter().skip(1).filter(|_| cycle_rounds > PRECISE_CYCLE_ROUNDS) {
+                let kind = &out.event(*er).kind;
+                let what = format!(
+                    "{} lies on a happens-before cycle (a run would deadlock)",
+                    kind.call_name()
+                );
+                dropped.extend(logged(er).map(|at| TraceError::at(at, kind, what)));
+            }
+            let call = out.event(path[0]).kind.call_name();
+            dropped.push(TraceError::cycle(
+                path.iter().map(|e| logged(e).unwrap_or(*e)).collect(),
+                call,
+            ));
+        }
+        dropped.sort_by_key(|e| (e.rank, e.idx));
+        dropped.dedup_by_key(|e| (e.rank, e.idx));
     }
-    for (r, proc) in out.procs.iter_mut().enumerate() {
-        synthesize_closure(Rank(r as u32), &mut proc.events, &tables, &mut info);
-    }
-    (out, info)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcc_types::{DatatypeId, RmaKind, RmaOp, TraceBuilder};
+    use mcc_types::{CommId, DatatypeId, GroupId, RmaKind, RmaOp, Tag, TraceBuilder};
 
     fn put(win: u32, target: u32, origin_addr: u64) -> EventKind {
         EventKind::Rma(RmaOp {
@@ -561,8 +373,8 @@ mod tests {
         assert_eq!(out.procs[0].events.len(), 1); // only the store survives
         assert_eq!(info.dropped.len(), 3);
         assert!(info.synthesized.is_empty());
-        assert!(info.dropped.iter().all(|(r, _, _)| *r == Rank(0)));
-        assert!(info.dropped[0].2.contains("win0"));
+        assert!(info.dropped.iter().all(|e| e.rank == Rank(0)));
+        assert!(info.dropped[0].what.contains("win0"));
     }
 
     #[test]
@@ -578,7 +390,7 @@ mod tests {
         }
         let (out, info) = sanitize(&b.build());
         assert_eq!(info.dropped.len(), 1);
-        assert!(info.dropped[0].2.contains("out of range"));
+        assert!(info.dropped[0].what.contains("out of range"));
         assert!(info.synthesized.is_empty());
         assert!(out.procs[0].events.iter().all(|e| !e.kind.is_rma_op()));
     }
@@ -609,7 +421,7 @@ mod tests {
         }
         let (_, info) = sanitize(&b.build());
         assert_eq!(info.dropped.len(), 1);
-        assert!(info.dropped[0].2.contains("unknown"));
+        assert!(info.dropped[0].what.contains("unknown"));
     }
 
     #[test]
@@ -622,7 +434,7 @@ mod tests {
         let (out, info) = sanitize(&b.build());
         assert!(out.procs[0].events.is_empty());
         assert_eq!(info.dropped.len(), 2);
-        assert!(info.dropped[0].2.contains("unknown"));
+        assert!(info.dropped[0].what.contains("unknown"));
     }
 
     #[test]
@@ -679,6 +491,83 @@ mod tests {
     }
 
     #[test]
+    fn happens_before_cycle_loses_the_event_that_closes_it() {
+        // Each rank receives from the other before sending: a run would
+        // deadlock, and the matched messages order each receive after
+        // the other rank's receive.
+        let mut b = TraceBuilder::new(2);
+        for (me, peer) in [(0, 1), (1, 0)] {
+            b.push(
+                Rank(me),
+                EventKind::Recv { comm: CommId::WORLD, from: Rank(peer), tag: Tag(0), bytes: 4 },
+            );
+            b.push(
+                Rank(me),
+                EventKind::Send { comm: CommId::WORLD, to: Rank(peer), tag: Tag(0), bytes: 4 },
+            );
+        }
+        let trace = b.build();
+        let e = crate::AnalysisSession::new().try_run(&trace).unwrap_err();
+        assert_eq!(e.call, "MPI_Recv");
+        assert_eq!(e.cycle.len(), 4, "{e}");
+        assert!(e.to_string().contains("closes a happens-before cycle"), "{e}");
+        let (out, info) = sanitize(&trace);
+        assert_eq!(info.dropped.len(), 1, "{info}");
+        assert_eq!(info.dropped[0].call, "MPI_Recv");
+        assert_eq!(out.total_events(), 3);
+        assert!(crate::AnalysisSession::new().try_run(&out).is_ok());
+    }
+
+    /// Two ranks that each receive `pairs` messages, one per tag, before
+    /// sending them: `interleaved` alternates receive and send, so each
+    /// tag is its own cycle; otherwise every receive comes first and all
+    /// the cycles share one component.
+    fn crossed(pairs: u32, interleaved: bool) -> Trace {
+        let mut b = TraceBuilder::new(2);
+        for (me, peer) in [(0, 1), (1, 0)] {
+            let (comm, from, to) = (CommId::WORLD, Rank(peer), Rank(peer));
+            let recv = |t| EventKind::Recv { comm, from, tag: Tag(t), bytes: 4 };
+            let send = |t| EventKind::Send { comm, to, tag: Tag(t), bytes: 4 };
+            let order: Vec<EventKind> = if interleaved {
+                (0..pairs).flat_map(|t| [recv(t), send(t)]).collect()
+            } else {
+                (0..pairs).map(recv).chain((0..pairs).map(send)).collect()
+            };
+            for kind in order {
+                b.push(Rank(me), kind);
+            }
+        }
+        b.build()
+    }
+
+    /// Repairs `trace`; returns how many times the analysis ran.
+    fn repair_rounds(trace: &Trace) -> (usize, Trace, DegradedInfo) {
+        let mut rounds = 0;
+        let ((), out, info) = repair(trace, &RecorderHandle::disabled(), |t, ctx, _| {
+            rounds += 1;
+            Clocks::try_compute(&dag::build(t, &ctx, &matching::match_sync(t, &ctx))).map(drop)
+        });
+        (rounds, out, info)
+    }
+
+    #[test]
+    fn independent_cycles_break_in_one_round() {
+        let (rounds, out, info) = repair_rounds(&crossed(300, true));
+        assert_eq!(rounds, 2, "{info}");
+        assert_eq!(info.dropped.len(), 300);
+        assert!(info.dropped.iter().all(|e| e.call == "MPI_Recv" && e.cycle.len() == 4));
+        assert!(crate::AnalysisSession::new().try_run(&out).is_ok());
+    }
+
+    #[test]
+    fn entangled_cycles_end_after_a_bounded_number_of_rounds() {
+        // One round per receive without the fallback.
+        let (rounds, out, info) = repair_rounds(&crossed(300, false));
+        assert!(rounds <= PRECISE_CYCLE_ROUNDS + 2, "{rounds} rounds: {info}");
+        assert!(crate::AnalysisSession::new().try_run(&out).is_ok());
+    }
+
+    #[test]
     fn sanitized_trace_survives_the_full_pipeline() {
         // The nastiest combination we can build by hand: missing
         // WinCreate, unknown comm, out-of-range peers, undefined
@@ -692,10 +581,7 @@ mod tests {
         }
         b.push(Rank(0), put(0, 1, 200)); // incomplete window
         b.push(Rank(0), put(1, 9, 200)); // bad target
-        b.push(
-            Rank(1),
-            EventKind::Send { comm: CommId(42), to: Rank(0), tag: mcc_types::Tag(0), bytes: 4 },
-        );
+        b.push(Rank(1), EventKind::Send { comm: CommId(42), to: Rank(0), tag: Tag(0), bytes: 4 });
         b.push(Rank(1), EventKind::Bcast { comm: CommId::WORLD, root: Rank(8), bytes: 4 });
         b.push(Rank(2), put(1, 0, 100)); // fine, but its epoch never closes
         let (out, info) = sanitize(&b.build());

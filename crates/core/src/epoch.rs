@@ -176,18 +176,12 @@ pub fn extract(trace: &Trace, ctx: &crate::preprocess::Ctx) -> Epochs {
             let er = EventRef::new(rank, idx);
 
             // Unified attribution for all one-sided communication kinds.
+            // Window and target lookups cannot miss: see `Ctx::target_abs`.
             if let Some((win, target_abs, req)) = match &event.kind {
-                EventKind::Rma(op) => {
-                    let meta = &ctx.wins[&op.win];
-                    Some((op.win, ctx.abs_rank(meta.comm, op.target), None))
-                }
-                EventKind::RmaAtomic(op) => {
-                    let meta = &ctx.wins[&op.win];
-                    Some((op.win, ctx.abs_rank(meta.comm, op.target), None))
-                }
+                EventKind::Rma(op) => Some((op.win, ctx.target_abs(op.win, op.target), None)),
+                EventKind::RmaAtomic(op) => Some((op.win, ctx.target_abs(op.win, op.target), None)),
                 EventKind::RmaReq { op, req } => {
-                    let meta = &ctx.wins[&op.win];
-                    Some((op.win, ctx.abs_rank(meta.comm, op.target), Some(*req)))
+                    Some((op.win, ctx.target_abs(op.win, op.target), Some(*req)))
                 }
                 _ => None,
             } {
@@ -246,16 +240,14 @@ pub fn extract(trace: &Trace, ctx: &crate::preprocess::Ctx) -> Epochs {
                     fence.insert(win.0, OpenEpoch::new(EpochKind::Fence, Some(er)));
                 }
                 EventKind::Lock { win, target, kind } => {
-                    let meta = &ctx.wins[win];
-                    let abs = ctx.abs_rank(meta.comm, *target);
+                    let abs = ctx.target_abs(*win, *target);
                     passive.insert(
                         (win.0, abs.0),
                         OpenEpoch::new(EpochKind::Lock { target: abs, lock: *kind }, Some(er)),
                     );
                 }
                 EventKind::Unlock { win, target } => {
-                    let meta = &ctx.wins[win];
-                    let abs = ctx.abs_rank(meta.comm, *target);
+                    let abs = ctx.target_abs(*win, *target);
                     if let Some(open) = passive.remove(&(win.0, abs.0)) {
                         finish(&mut out, open, *win, Some(er));
                     }
@@ -276,8 +268,7 @@ pub fn extract(trace: &Trace, ctx: &crate::preprocess::Ctx) -> Epochs {
                 EventKind::Flush { win, target } => {
                     // A flush ends the current sub-epoch towards that
                     // target and opens a fresh one of the same kind.
-                    let meta = &ctx.wins[win];
-                    let abs = ctx.abs_rank(meta.comm, *target);
+                    let abs = ctx.target_abs(*win, *target);
                     if let Some(open) = passive.remove(&(win.0, abs.0)) {
                         let kind = open.kind;
                         finish(&mut out, open, *win, Some(er));

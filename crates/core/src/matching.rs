@@ -137,10 +137,12 @@ pub fn match_sync(trace: &Trace, ctx: &Ctx) -> Matching {
                         (*comm, Some(*win), CollKind::AllToAll)
                     }
                     EventKind::WinFree { win } | EventKind::Fence { win } => {
+                        // The resolver refused fences and frees of
+                        // incomplete windows.
                         let comm = ctx.wins[win].comm;
                         (comm, Some(*win), CollKind::AllToAll)
                     }
-                    _ => unreachable!(),
+                    _ => unreachable!("the outer arm matches collectives only"),
                 };
                 let key = MatchKey::Coll(comm, win);
                 let occ = {
@@ -207,6 +209,7 @@ pub fn match_sync(trace: &Trace, ctx: &Ctx) -> Matching {
             }
 
             // --- PSCW ---
+            // The resolver refused posts and starts on unknown groups.
             EventKind::Post { win, group } => {
                 let origins = ctx.groups[r][group].clone();
                 for &o in &origins {

@@ -39,7 +39,7 @@
 //! other part of the pipeline.
 
 use crate::degrade::DegradedInfo;
-use crate::preprocess::{self, Ctx};
+use crate::preprocess::Ctx;
 use crate::report::{Confidence, ConsistencyError, ErrorScope, OpInfo, Severity};
 use mcc_types::{
     AccessCategory, CommId, ConflictKind, DataMap, Event, EventKind, EventRef, LocId, MemRegion,
@@ -72,11 +72,15 @@ pub fn has_failure_markers(trace: &Trace) -> bool {
 /// Collects the failed ranks named by `RankFailed` notifications, with
 /// the epoch count each completed before dying. Sorted by rank; the first
 /// notification wins if survivors ever disagree (they cannot, in traces
-/// produced by the simulator).
+/// produced by the simulator). A notice naming a rank outside the run is
+/// skipped (the resolver refuses it).
 pub fn failure_notices(trace: &Trace) -> Vec<(Rank, u64)> {
     let mut map: BTreeMap<u32, u64> = BTreeMap::new();
     for (_, event) in trace.iter_events() {
         if let EventKind::RankFailed { failed, epoch } = event.kind {
+            if failed.idx() >= trace.nprocs() {
+                continue;
+            }
             map.entry(failed.0).or_insert(epoch);
         }
     }
@@ -138,15 +142,18 @@ impl CollId {
 /// the continuation — a corpse cannot retroactively expose memory — and
 /// bails entirely (appending nothing) if the histories do not line up.
 ///
+/// `ctx` is the trace's tolerant resolution ([`crate::preprocess::resolve`]):
+/// a collective over a communicator or window it does not hold is not
+/// part of any history.
+///
 /// Returns `(rank, appended)` pairs in rank order. Callers must exclude
 /// the appended tail from evidence: the ghosts exist so the matcher can
 /// close the survivors' collectives, not because the rank did anything.
-pub fn synthesize_ghost_sync(trace: &mut Trace) -> Vec<(Rank, usize)> {
+pub fn synthesize_ghost_sync(trace: &mut Trace, ctx: &Ctx) -> Vec<(Rank, usize)> {
     let notices = failure_notices(trace);
     if notices.is_empty() {
         return Vec::new();
     }
-    let ctx = preprocess::preprocess(trace);
     let failed: HashSet<u32> = notices.iter().map(|&(f, _)| f.0).collect();
 
     // Compute every append before mutating: a failed rank's ghosts are
@@ -161,7 +168,7 @@ pub fn synthesize_ghost_sync(trace: &mut Trace) -> Vec<(Rank, usize)> {
                 .iter()
                 .filter_map(|e| {
                     let id = CollId::of(&e.kind)?;
-                    let comm = id.comm(&ctx)?;
+                    let comm = id.comm(ctx)?;
                     ctx.comm_members(comm).contains(&f).then_some((id, &e.kind))
                 })
                 .collect()
@@ -249,16 +256,15 @@ struct QuarantinedWrite {
     map: DataMap,
 }
 
-/// Runs the failure-aware pass over a (sanitized) trace. `info` is the
-/// sanitizer's record, used to skip the synthetic closes it appended —
-/// those are attributed to the failure, not treated as real recovery
-/// lines.
-pub fn analyze(trace: &Trace, info: &DegradedInfo) -> RecoveryAnalysis {
+/// Runs the failure-aware pass over a (sanitized) trace and its resolved
+/// context. `info` is the sanitizer's record, used to skip the synthetic
+/// closes it appended — those are attributed to the failure, not treated
+/// as real recovery lines.
+pub fn analyze(trace: &Trace, info: &DegradedInfo, ctx: &Ctx) -> RecoveryAnalysis {
     let failed = failure_notices(trace);
     if failed.is_empty() {
         return RecoveryAnalysis::default();
     }
-    let ctx = preprocess::preprocess(trace);
     let mut synth: HashMap<u32, usize> = HashMap::new();
     for (rank, _) in &info.synthesized {
         *synth.entry(rank.0).or_insert(0) += 1;
@@ -270,7 +276,7 @@ pub fn analyze(trace: &Trace, info: &DegradedInfo) -> RecoveryAnalysis {
     for &(f, _) in &failed {
         let events = &trace.procs[f.idx()].events;
         let real_len = events.len() - synth.get(&f.0).copied().unwrap_or(0);
-        let line = events[..real_len].iter().rposition(|e| is_recovery_line(&ctx, &e.kind));
+        let line = events[..real_len].iter().rposition(|e| is_recovery_line(ctx, &e.kind));
         let start = line.map_or(0, |i| i + 1);
         quarantined.extend((start..real_len).map(|idx| EventRef::new(f, idx)));
     }
@@ -422,6 +428,16 @@ pub fn analyze(trace: &Trace, info: &DegradedInfo) -> RecoveryAnalysis {
 mod tests {
     use super::*;
     use mcc_types::{CommId, DatatypeId, RmaKind, RmaOp, TraceBuilder};
+
+    /// The passes, over the trace's own resolution.
+    fn analyze(t: &Trace, info: &DegradedInfo) -> RecoveryAnalysis {
+        super::analyze(t, info, &crate::preprocess::resolve(t).0)
+    }
+
+    fn synthesize_ghost_sync(t: &mut Trace) -> Vec<(Rank, usize)> {
+        let ctx = crate::preprocess::resolve(t).0;
+        super::synthesize_ghost_sync(t, &ctx)
+    }
 
     fn put(target: u32, disp: u64) -> EventKind {
         EventKind::Rma(RmaOp {

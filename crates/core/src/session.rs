@@ -1,21 +1,27 @@
 //! The analysis pipeline API: [`AnalysisSession`].
 //!
-//! A session owns the configuration of one analysis — conflict engine,
-//! degraded-mode tolerance, and the ablation knobs — and runs the full
+//! A session owns the configuration of one analysis — conflict engine
+//! and the ablation knobs — and runs the full
 //! DN-Analyzer pipeline (preprocessing, synchronization matching, DAG
 //! construction, vector clocks, concurrent-region and epoch extraction,
 //! the two detectors) on any number of traces:
 //!
 //! ```
 //! use mcc_core::session::{AnalysisSession, Engine};
-//! # use mcc_types::Trace;
-//! let session = AnalysisSession::builder()
-//!     .engine(Engine::Sweep)
-//!     .tolerate_truncation(false)
-//!     .build();
+//! # use mcc_types::{EventRef, Trace};
+//! let session = AnalysisSession::builder().engine(Engine::Sweep).build();
 //! let report = session.run(&Trace::new(2));
 //! assert!(!report.has_errors());
 //! ```
+//!
+//! # Strict and tolerant
+//!
+//! [`AnalysisSession::try_run`] is the strict entry: the first event the
+//! resolver refuses ([`crate::preprocess::resolve`]) is its error.
+//! [`AnalysisSession::run_with_repair`] is the one tolerant entry: it
+//! drops every such event, closes what the damage left open, and marks the
+//! report degraded. [`AnalysisSession::run`] is `try_run` for traces this
+//! process built itself, and panics on an invalid one.
 //!
 //! # One thread per analysis
 //!
@@ -43,15 +49,15 @@ use crate::epoch;
 use crate::inter;
 use crate::intra;
 use crate::matching;
-use crate::preprocess;
+use crate::preprocess::{self, Ctx, TraceError};
 use crate::recovery;
 use crate::regions::{self, Regions};
 use crate::report::{self, Confidence, ConsistencyError};
 use crate::vc::Clocks;
 use mcc_obs::RecorderHandle;
-use mcc_types::Trace;
+use mcc_types::{EventRef, Trace};
 use std::collections::HashSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which cross-process conflict engine to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -66,12 +72,11 @@ pub enum Engine {
 }
 
 /// Builder for [`AnalysisSession`]. Defaults reproduce the paper's
-/// configuration: sweep engine, strict (non-tolerant) trace handling,
-/// region partitioning on, progress-counter matching.
+/// configuration: sweep engine, region partitioning on, progress-counter
+/// matching.
 #[derive(Debug, Clone)]
 pub struct AnalysisSessionBuilder {
     engine: Engine,
-    tolerate_truncation: bool,
     partition_regions: bool,
     naive_matching: bool,
     recorder: RecorderHandle,
@@ -81,7 +86,6 @@ impl Default for AnalysisSessionBuilder {
     fn default() -> Self {
         Self {
             engine: Engine::Sweep,
-            tolerate_truncation: false,
             partition_regions: true,
             naive_matching: false,
             recorder: RecorderHandle::disabled(),
@@ -93,15 +97,6 @@ impl AnalysisSessionBuilder {
     /// Selects the cross-process conflict engine.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// When set, [`AnalysisSession::run`] first repairs damaged traces
-    /// via [`degrade::sanitize`] and downgrades the report to degraded
-    /// confidence if the sanitizer had to intervene, instead of assuming
-    /// an internally consistent trace.
-    pub fn tolerate_truncation(mut self, yes: bool) -> Self {
-        self.tolerate_truncation = yes;
         self
     }
 
@@ -157,36 +152,54 @@ impl AnalysisSession {
         &self.cfg.recorder
     }
 
-    /// Runs the pipeline on a trace.
+    /// Runs the pipeline on a trace this process built (the simulator,
+    /// the profiler, [`mcc_types::TraceBuilder`]).
     ///
-    /// Without [`AnalysisSessionBuilder::tolerate_truncation`] the trace
-    /// must be internally consistent (as produced by the profiler or
-    /// [`mcc_types::TraceBuilder`]); with it, damaged traces are repaired
-    /// first and the report is marked degraded when repair was needed.
+    /// # Panics
+    /// Panics with the [`TraceError`] text if the trace does not resolve.
+    /// A trace from disk or a peer goes through [`Self::try_run`] or
+    /// [`Self::run_with_repair`].
+    pub fn run(&self, trace: &Trace) -> CheckReport {
+        self.try_run(trace).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Runs the pipeline on a trace that must resolve: the first event
+    /// the resolver refuses, or a happens-before cycle, is the error.
     ///
     /// Traces carrying failure notifications
-    /// ([`mcc_types::EventKind::RankFailed`]) are automatically routed
-    /// through the failure-aware pipeline ([`Self::run_recovered`])
-    /// regardless of the tolerance setting: a survivable failure is not
-    /// trace damage, and analyzing the failed rank's in-flight tail with
-    /// the ordinary rules would mix delivered and undelivered effects.
-    pub fn run(&self, trace: &Trace) -> CheckReport {
+    /// ([`mcc_types::EventKind::RankFailed`]) are routed through the
+    /// failure-aware pipeline ([`Self::run_recovered`]) once they
+    /// resolve: a survivable failure is not trace damage, and analyzing
+    /// the failed rank's in-flight tail with the ordinary rules would mix
+    /// delivered and undelivered effects.
+    pub fn try_run(&self, trace: &Trace) -> Result<CheckReport, TraceError> {
+        let t0 = Instant::now();
+        let ctx = {
+            let _s = self.cfg.recorder.span("check.preprocess");
+            preprocess::try_preprocess(trace)?
+        };
         if recovery::has_failure_markers(trace) {
-            self.run_recovered(trace).0
-        } else if self.cfg.tolerate_truncation {
-            self.run_with_repair(trace).0
-        } else {
-            self.analyze(trace)
+            return Ok(self.recover(trace, &ctx).0);
+        }
+        match self.analyze(trace, ctx, t0.elapsed()) {
+            Ok((report, _)) => Ok(report),
+            Err(cycles) => {
+                let path = cycles.into_iter().next().expect("a cyclic DAG has a cycle");
+                let call = trace.event(path[0]).kind.call_name();
+                Err(TraceError::cycle(path, call))
+            }
         }
     }
 
-    /// Like [`run`](Self::run) with tolerance on, but also returns what
-    /// the sanitizer did — the entry point for the CLI's tolerant path.
+    /// The tolerant entry: repairs the trace as [`degrade::sanitize`]
+    /// does, marks the report degraded if repair was needed, and returns
+    /// what the repair did. Traces with failure notifications take
+    /// [`Self::run_recovered`].
     pub fn run_with_repair(&self, trace: &Trace) -> (CheckReport, DegradedInfo) {
         if recovery::has_failure_markers(trace) {
             return self.run_recovered(trace);
         }
-        let (repaired, info) = degrade::sanitize(trace);
+        let ((mut report, _), _, info) = self.repair(trace);
         if !info.is_clean() {
             let obs = &self.cfg.recorder;
             obs.add("degraded_dropped_events_total", info.dropped.len() as u64);
@@ -197,9 +210,6 @@ impl AnalysisSession {
                 info.dropped.len(),
                 info.synthesized.len()
             );
-        }
-        let mut report = self.analyze(&repaired);
-        if !info.is_clean() {
             report.mark_degraded();
         }
         (report, info)
@@ -220,6 +230,11 @@ impl AnalysisSession {
     /// needed repair, which is real damage and keeps the report
     /// [`Confidence::Degraded`].
     pub fn run_recovered(&self, trace: &Trace) -> (CheckReport, DegradedInfo) {
+        self.recover(trace, &preprocess::resolve(trace).0)
+    }
+
+    /// [`Self::run_recovered`], given what of the trace resolves.
+    fn recover(&self, trace: &Trace, ctx: &Ctx) -> (CheckReport, DegradedInfo) {
         let obs = &self.cfg.recorder;
         // Ghost synchronization first: append the failed ranks' ghost
         // participation in the collectives the survivors completed around
@@ -228,8 +243,8 @@ impl AnalysisSession {
         // them when placing the quarantine line, and the degraded summary
         // attributes them to the failure.
         let mut ghosted = trace.clone();
-        let ghosts = recovery::synthesize_ghost_sync(&mut ghosted);
-        let (repaired, mut info) = degrade::sanitize(&ghosted);
+        let ghosts = recovery::synthesize_ghost_sync(&mut ghosted, ctx);
+        let ((mut report, ctx), repaired, mut info) = self.repair(&ghosted);
         for &(rank, n) in &ghosts {
             obs.add("recovered_ghost_sync_total", n as u64);
             for _ in 0..n {
@@ -237,8 +252,7 @@ impl AnalysisSession {
                     .push((rank, "ghost participation in a survivor collective".to_string()));
             }
         }
-        let mut report = self.analyze(&repaired);
-        let rec = recovery::analyze(&repaired, &info);
+        let rec = recovery::analyze(&repaired, &info, &ctx);
         obs.add("recovered_failed_ranks_total", rec.failed.len() as u64);
         obs.add("recovered_quarantined_events_total", rec.quarantined.len() as u64);
         mcc_obs::log!(
@@ -263,9 +277,8 @@ impl AnalysisSession {
 
         // Repair at a rank that did NOT fail is genuine trace damage.
         let failed: HashSet<u32> = rec.failed.iter().map(|(r, _)| r.0).collect();
-        let survivor_damage =
-            info.dropped.iter().map(|(r, _, _)| r.0).any(|r| !failed.contains(&r))
-                || info.synthesized.iter().map(|(r, _)| r.0).any(|r| !failed.contains(&r));
+        let survivor_damage = info.dropped.iter().map(|e| e.rank.0).any(|r| !failed.contains(&r))
+            || info.synthesized.iter().map(|(r, _)| r.0).any(|r| !failed.contains(&r));
         if survivor_damage {
             report.mark_degraded();
         } else {
@@ -282,19 +295,29 @@ impl AnalysisSession {
         (report, info)
     }
 
-    fn analyze(&self, trace: &Trace) -> CheckReport {
+    /// [`degrade::repair`] with this session's pipeline as the analysis.
+    fn repair(&self, trace: &Trace) -> ((CheckReport, Ctx), Trace, DegradedInfo) {
+        degrade::repair(trace, &self.cfg.recorder, |t, ctx, time| self.analyze(t, ctx, time))
+    }
+
+    /// The pipeline over a trace and its resolved context, which took
+    /// `preprocess_time` to resolve. Returns the context with the report,
+    /// or the happens-before cycles if the DAG has any.
+    fn analyze(
+        &self,
+        trace: &Trace,
+        ctx: Ctx,
+        preprocess_time: Duration,
+    ) -> Result<(CheckReport, Ctx), Vec<Vec<EventRef>>> {
         let obs = &self.cfg.recorder;
         let _run_span = obs.span("check.run");
         let run_start = Instant::now();
-        let mut stats = AnalysisStats { total_events: trace.total_events(), ..Default::default() };
-        obs.add("events_total", stats.total_events as u64);
-
-        let t0 = Instant::now();
-        let ctx = {
-            let _s = obs.span("check.preprocess");
-            preprocess::preprocess(trace)
+        let mut stats = AnalysisStats {
+            total_events: trace.total_events(),
+            preprocess_time,
+            ..Default::default()
         };
-        stats.preprocess_time = t0.elapsed();
+        obs.add("events_total", stats.total_events as u64);
 
         let t0 = Instant::now();
         let matching = {
@@ -313,7 +336,7 @@ impl AnalysisSession {
         let (dag, clocks) = {
             let _s = obs.span("check.dag");
             let dag = dag::build(trace, &ctx, &matching);
-            let clocks = Clocks::compute(&dag);
+            let clocks = Clocks::try_compute(&dag)?;
             (dag, clocks)
         };
         stats.dag_nodes = dag.node_count();
@@ -390,9 +413,9 @@ impl AnalysisSession {
             stats.epochs,
             stats.regions
         );
-        stats.total_time = run_start.elapsed();
+        stats.total_time = preprocess_time + run_start.elapsed();
 
-        CheckReport { diagnostics, stats, confidence: Confidence::Complete }
+        Ok((CheckReport { diagnostics, stats, confidence: Confidence::Complete }, ctx))
     }
 }
 
@@ -491,8 +514,8 @@ mod tests {
         let mut t = buggy_trace();
         let cut = t.procs[0].events.len() - 1;
         t.procs[0].events.truncate(cut);
-        let session = AnalysisSession::builder().tolerate_truncation(true).build();
-        let report = session.run(&t);
+        let session = AnalysisSession::new();
+        let report = session.run_with_repair(&t).0;
         assert_eq!(report.confidence, Confidence::Degraded);
         assert!(report.has_errors());
         let (report2, info) = session.run_with_repair(&t);
@@ -506,12 +529,7 @@ mod tests {
         let cut = t.procs[0].events.len() - 1;
         t.procs[0].events.truncate(cut);
         let run = |engine| {
-            AnalysisSession::builder()
-                .engine(engine)
-                .tolerate_truncation(true)
-                .build()
-                .run(&t)
-                .render()
+            AnalysisSession::builder().engine(engine).build().run_with_repair(&t).0.render()
         };
         assert_eq!(run(Engine::Sweep), run(Engine::Naive));
     }

@@ -49,6 +49,7 @@
 //! programs close epochs before global synchronization; the batch
 //! checker remains the completeness reference.
 
+use crate::preprocess::TraceError;
 use crate::report::{Confidence, ConsistencyError, ErrorScope, OpInfo};
 use crate::session::AnalysisSession;
 use mcc_types::{CommId, EventKind, EventRef, Rank, SourceLoc, Trace, TraceBuilder, WinId};
@@ -69,6 +70,9 @@ pub enum StreamError {
         /// The checker's world size.
         nprocs: usize,
     },
+    /// A region held an event the resolver refuses; its rank and index
+    /// are the event's position in the stream.
+    Trace(TraceError),
 }
 
 impl fmt::Display for StreamError {
@@ -78,6 +82,7 @@ impl fmt::Display for StreamError {
             StreamError::RankOutOfRange { rank, nprocs } => {
                 write!(f, "event names rank {rank}, but the session covers {nprocs} rank(s)")
             }
+            StreamError::Trace(e) => write!(f, "{}: {e}", e.headline()),
         }
     }
 }
@@ -108,6 +113,8 @@ pub struct StreamingChecker {
     session: AnalysisSession,
     /// Registry events that must survive region flushes, per rank.
     ctx_events: Vec<Vec<(EventKind, SourceLoc)>>,
+    /// Each registry event's index in its rank's stream.
+    ctx_pos: Vec<Vec<usize>>,
     /// Buffered (unflushed) events per rank.
     buf: Vec<Vec<(EventKind, SourceLoc)>>,
     /// Boundary (global-sync) indices inside `buf`, per rank.
@@ -169,6 +176,7 @@ impl StreamingChecker {
             nprocs,
             session,
             ctx_events: vec![Vec::new(); nprocs],
+            ctx_pos: vec![Vec::new(); nprocs],
             buf: vec![Vec::new(); nprocs],
             boundaries: vec![Vec::new(); nprocs],
             win_comm: HashMap::new(),
@@ -270,7 +278,8 @@ impl StreamingChecker {
     /// Feeds one event from `rank`'s instrumentation stream. Returns any
     /// findings completed by this event (i.e. the analysis of a region
     /// that just became flushable, or of a partial region evicted at the
-    /// high watermark).
+    /// high watermark), or [`StreamError::Trace`] if the flushed region
+    /// does not resolve — the stream has no coherent continuation then.
     pub fn push(
         &mut self,
         rank: Rank,
@@ -310,7 +319,7 @@ impl StreamingChecker {
         self.peak_buffered = self.peak_buffered.max(buffered);
 
         if self.boundaries.iter().all(|b| !b.is_empty()) {
-            Ok(self.flush_region())
+            self.flush_region().map_err(StreamError::Trace)
         } else if self.high_watermark.is_some_and(|cap| buffered >= cap) {
             Ok(self.evict())
         } else {
@@ -347,37 +356,14 @@ impl StreamingChecker {
 
     /// Cuts one region (through each rank's first boundary) and analyzes
     /// it together with the persistent registry events.
-    fn flush_region(&mut self) -> Vec<ConsistencyError> {
+    fn flush_region(&mut self) -> Result<Vec<ConsistencyError>, TraceError> {
         let _span = self.session.recorder().span("stream.flush_region");
         let flush_started = Instant::now();
         self.session.recorder().add("stream_regions_flushed_total", 1);
-        let ctx_counts: Vec<usize> = self.ctx_events.iter().map(Vec::len).collect();
-        let mut b = TraceBuilder::new(self.nprocs);
-        let mut cuts = vec![0usize; self.nprocs];
-        #[allow(clippy::needless_range_loop)] // r indexes four parallel per-rank arrays
-        for r in 0..self.nprocs {
-            let rank = Rank(r as u32);
-            for (kind, loc) in &self.ctx_events[r] {
-                b.push_at(rank, kind.clone(), loc.clone());
-            }
-            let cut = self.boundaries[r][0] + 1;
-            cuts[r] = cut;
-            let rest = self.buf[r].split_off(cut);
-            for (kind, loc) in self.buf[r].drain(..) {
-                self.buffered_bytes = self.buffered_bytes.saturating_sub(event_cost(&kind, &loc));
-                if Self::is_registry(&kind) {
-                    self.ctx_events[r].push((kind.clone(), loc.clone()));
-                }
-                b.push_at(rank, kind, loc);
-            }
-            self.buf[r] = rest;
-            self.boundaries[r].remove(0);
-            for idx in self.boundaries[r].iter_mut() {
-                *idx -= cut;
-            }
-        }
+        let cuts = self.boundaries.iter().map(|b| b[0] + 1).collect();
+        let (trace, ctx_counts, cuts) = self.cut(cuts);
         self.regions_flushed += 1;
-        let fresh = self.analyze_region(&b.build(), &ctx_counts, false);
+        let fresh = self.analyze_region(&trace, &ctx_counts, false);
         self.advance_consumed(&cuts);
         self.session
             .recorder()
@@ -389,24 +375,38 @@ impl StreamingChecker {
     /// the final drain of `finish`, and the partial region of an
     /// eviction or a degraded salvage.
     fn drain_all(&mut self) -> (Trace, Vec<usize>, Vec<usize>) {
+        let all = self.buf.iter().map(Vec::len).collect();
+        self.cut(all)
+    }
+
+    /// Cuts the first `cuts[r]` buffered events of each rank into one
+    /// region trace, behind the persistent registry events. Returns the
+    /// trace, each rank's registry prefix length, and the cuts.
+    fn cut(&mut self, cuts: Vec<usize>) -> (Trace, Vec<usize>, Vec<usize>) {
         let ctx_counts: Vec<usize> = self.ctx_events.iter().map(Vec::len).collect();
         let mut b = TraceBuilder::new(self.nprocs);
-        let mut cuts = vec![0usize; self.nprocs];
-        #[allow(clippy::needless_range_loop)] // r indexes four parallel per-rank arrays
+        #[allow(clippy::needless_range_loop)] // r indexes five parallel per-rank arrays
         for r in 0..self.nprocs {
             let rank = Rank(r as u32);
             for (kind, loc) in &self.ctx_events[r] {
                 b.push_at(rank, kind.clone(), loc.clone());
             }
-            cuts[r] = self.buf[r].len();
-            for (kind, loc) in self.buf[r].drain(..) {
+            let rest = self.buf[r].split_off(cuts[r]);
+            for (i, (kind, loc)) in
+                std::mem::replace(&mut self.buf[r], rest).into_iter().enumerate()
+            {
                 self.buffered_bytes = self.buffered_bytes.saturating_sub(event_cost(&kind, &loc));
                 if Self::is_registry(&kind) {
+                    self.ctx_pos[r].push(self.consumed[r] + i);
                     self.ctx_events[r].push((kind.clone(), loc.clone()));
                 }
                 b.push_at(rank, kind, loc);
             }
-            self.boundaries[r].clear();
+            // Boundaries index the buffer: drop the cut ones, shift the rest.
+            self.boundaries[r].retain(|&at| at >= cuts[r]);
+            for at in self.boundaries[r].iter_mut() {
+                *at -= cuts[r];
+            }
         }
         (b.build(), ctx_counts, cuts)
     }
@@ -427,7 +427,8 @@ impl StreamingChecker {
         self.degraded = true;
         self.evictions += 1;
         let (trace, ctx_counts, cuts) = self.drain_all();
-        let fresh = self.analyze_region(&trace, &ctx_counts, true);
+        // The repair cannot fail.
+        let fresh = self.analyze_region(&trace, &ctx_counts, true).unwrap_or_default();
         self.advance_consumed(&cuts);
         fresh
     }
@@ -448,18 +449,43 @@ impl StreamingChecker {
         }
     }
 
-    /// Runs the batch pipeline over one region trace, remaps the findings
-    /// into full-stream coordinates, and merges them into the
-    /// canonical-minimum table. Returns the findings whose dedup key was
-    /// new, in canonical order.
+    /// Maps a region-local event reference to the event's position in its
+    /// rank's full stream: replayed registry events first, then the
+    /// region's own events after everything already consumed.
+    fn stream_ref(&self, er: EventRef, ctx_counts: &[usize]) -> EventRef {
+        let r = er.rank.idx();
+        let idx = match er.idx.checked_sub(ctx_counts[r]) {
+            Some(own) => self.consumed[r] + own,
+            // A replayed event: one of the first `ctx_counts[r]` entries.
+            None => self.ctx_pos[r][er.idx],
+        };
+        EventRef::new(er.rank, idx)
+    }
+
+    /// Runs the batch pipeline over one region trace — strictly, or
+    /// through the repair when `degraded` (which cannot fail) — remaps
+    /// the findings into full-stream coordinates, and merges them into
+    /// the canonical-minimum table. Returns the findings whose dedup key
+    /// was new, in canonical order, or the region's first invalid event
+    /// in stream coordinates.
     fn analyze_region(
         &mut self,
         trace: &Trace,
         ctx_counts: &[usize],
         degraded: bool,
-    ) -> Vec<ConsistencyError> {
-        let report =
-            if degraded { self.session.run_with_repair(trace).0 } else { self.session.run(trace) };
+    ) -> Result<Vec<ConsistencyError>, TraceError> {
+        let report = if degraded {
+            self.session.run_with_repair(trace).0
+        } else {
+            self.session.try_run(trace).map_err(|mut e| {
+                let at = self.stream_ref(EventRef::new(e.rank, e.idx), ctx_counts);
+                e.idx = at.idx;
+                for c in &mut e.cycle {
+                    *c = self.stream_ref(*c, ctx_counts);
+                }
+                e
+            })?
+        };
         let mut fresh = Vec::new();
         for mut e in report.diagnostics {
             self.remap_op(&mut e.a, ctx_counts);
@@ -494,7 +520,7 @@ impl StreamingChecker {
                 );
             }
         }
-        fresh
+        Ok(fresh)
     }
 
     /// The accumulated findings in canonical order.
@@ -512,15 +538,42 @@ impl StreamingChecker {
 
     /// Flushes whatever remains and returns all findings in canonical
     /// order — byte-comparable with the batch report when the stream was
-    /// complete and no eviction happened.
+    /// complete and no eviction happened. A final partial region that
+    /// does not resolve is analyzed through the repair instead, and the
+    /// session ends degraded.
     pub fn finish(mut self) -> Vec<ConsistencyError> {
         let _span = self.session.recorder().span("stream.finish");
-        if self.buffered() > 0 {
-            let (trace, ctx_counts, cuts) = self.drain_all();
-            self.analyze_region(&trace, &ctx_counts, false);
-            self.advance_consumed(&cuts);
+        if let Err(e) = self.drain_final() {
+            mcc_obs::log!(Warn, "final region does not resolve ({e}); repaired it");
         }
         self.collect()
+    }
+
+    /// [`finish`](Self::finish) for strict callers: a final partial
+    /// region that does not resolve is the error, as in
+    /// [`push`](Self::push).
+    pub fn try_finish(mut self) -> Result<Vec<ConsistencyError>, StreamError> {
+        let _span = self.session.recorder().span("stream.finish");
+        self.drain_final().map_err(StreamError::Trace)?;
+        Ok(self.collect())
+    }
+
+    /// Analyzes whatever is still buffered: strictly, or — degrading the
+    /// session — through the repair when that fails. Returns the strict
+    /// failure.
+    fn drain_final(&mut self) -> Result<(), TraceError> {
+        if self.buffered() == 0 {
+            return Ok(());
+        }
+        let (trace, ctx_counts, cuts) = self.drain_all();
+        let strict = self.analyze_region(&trace, &ctx_counts, false);
+        if strict.is_err() {
+            self.degraded = true;
+            // The repair cannot fail.
+            self.analyze_region(&trace, &ctx_counts, true).unwrap_or_default();
+        }
+        self.advance_consumed(&cuts);
+        strict.map(drop)
     }
 
     /// Salvages a session that ended abnormally (client died mid-stream,
@@ -534,18 +587,20 @@ impl StreamingChecker {
         self.degraded = true;
         if self.buffered() > 0 {
             let (trace, ctx_counts, cuts) = self.drain_all();
-            self.analyze_region(&trace, &ctx_counts, true);
+            // The repair cannot fail.
+            self.analyze_region(&trace, &ctx_counts, true).unwrap_or_default();
             self.advance_consumed(&cuts);
         }
         self.collect()
     }
 
-    /// Convenience: streams a complete trace through the checker (used by
-    /// the equivalence tests and benches).
-    pub fn run_over(trace: &Trace) -> (Vec<ConsistencyError>, StreamingStats) {
-        let mut sc = StreamingChecker::new(trace.nprocs()).expect("trace has at least one rank");
+    /// Streams a complete trace through the checker, strictly: an event
+    /// the resolver refuses, in any region, is the error (`mcc check
+    /// --streaming` and the equivalence tests).
+    pub fn run_over(trace: &Trace) -> Result<(Vec<ConsistencyError>, StreamingStats), StreamError> {
+        let mut sc = StreamingChecker::new(trace.nprocs())?;
         for (rank, kind, loc) in trace.stream_order() {
-            sc.push(rank, kind, loc).expect("rank is in range");
+            sc.push(rank, kind, loc)?;
         }
         let stats = StreamingStats {
             regions_flushed: sc.regions_flushed,
@@ -555,7 +610,7 @@ impl StreamingChecker {
             evictions: sc.evictions,
             confidence: sc.confidence(),
         };
-        (sc.finish(), stats)
+        Ok((sc.try_finish()?, stats))
     }
 }
 
@@ -643,6 +698,37 @@ mod tests {
     }
 
     #[test]
+    fn invalid_regions_are_trace_errors_in_stream_coordinates() {
+        // Round 7's put names target 9: the flush of its region fails,
+        // naming the put's position in rank 0's whole stream.
+        let mut trace = rounds_trace(10);
+        let mut puts = trace.procs[0].events.iter().enumerate().filter(|(_, e)| e.kind.is_rma_op());
+        let (idx, _) = puts.nth(7).unwrap();
+        trace.procs[0].events[idx].kind = put(9);
+        match StreamingChecker::run_over(&trace) {
+            Err(StreamError::Trace(e)) => {
+                assert_eq!((e.rank, e.idx), (Rank(0), idx));
+                assert!(e.what.contains("target P9 out of range"), "{e}");
+            }
+            other => panic!("{other:?}"),
+        }
+        // A bad event in the final partial region: `try_finish` refuses
+        // it, `finish` repairs it.
+        let stream = |t: &Trace| {
+            let mut sc = StreamingChecker::new(2).unwrap();
+            for (rank, kind, loc) in t.stream_order() {
+                sc.push(rank, kind, loc).unwrap();
+            }
+            sc
+        };
+        let mut tail = rounds_trace(2);
+        tail.procs[0].events.push(mcc_types::Event::new(put(9), mcc_types::LocId(0)));
+        assert!(matches!(stream(&tail).try_finish(), Err(StreamError::Trace(_))));
+        let repaired = stream(&tail).finish();
+        assert_eq!(repaired, StreamingChecker::run_over(&rounds_trace(2)).unwrap().0);
+    }
+
+    #[test]
     fn out_of_range_rank_rejected() {
         let mut sc = StreamingChecker::new(2).unwrap();
         let err = sc.push(Rank(2), put(1), SourceLoc::unknown()).unwrap_err();
@@ -657,7 +743,7 @@ mod tests {
         // order, canonical representative.
         let trace = rounds_trace(12);
         let batch = AnalysisSession::new().run(&trace);
-        let (streamed, stats) = StreamingChecker::run_over(&trace);
+        let (streamed, stats) = StreamingChecker::run_over(&trace).unwrap();
         assert_eq!(streamed, batch.diagnostics);
         assert!(stats.regions_flushed >= 10, "regions flushed incrementally");
         assert_eq!(stats.evictions, 0);
@@ -668,7 +754,7 @@ mod tests {
         // 100 rounds: the peak buffer must stay near one round's worth of
         // events, far below the total.
         let trace = rounds_trace(100);
-        let (_, stats) = StreamingChecker::run_over(&trace);
+        let (_, stats) = StreamingChecker::run_over(&trace).unwrap();
         assert!(
             stats.peak_buffered * 4 < stats.total_events,
             "peak {} vs total {}",
@@ -701,7 +787,7 @@ mod tests {
             b.push(Rank(r), EventKind::Fence { win: WinId(0) });
             b.push(Rank(r), EventKind::Fence { win: WinId(0) });
         }
-        let (findings, _) = StreamingChecker::run_over(&b.build());
+        let (findings, _) = StreamingChecker::run_over(&b.build()).unwrap();
         assert!(findings.is_empty());
     }
 
@@ -818,7 +904,7 @@ mod tests {
         }
         let trace = b.build();
         let batch = AnalysisSession::new().run(&trace);
-        let (streamed, _) = StreamingChecker::run_over(&trace);
+        let (streamed, _) = StreamingChecker::run_over(&trace).unwrap();
         assert_eq!(streamed, batch.diagnostics);
         assert!(!streamed.is_empty());
     }

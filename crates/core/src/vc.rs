@@ -20,6 +20,9 @@
 //! epoch is never closed in the trace is not ordered before anything.
 
 use crate::dag::{Dag, NodeId, NodeKind};
+use crate::preprocess::TraceError;
+use mcc_types::EventRef;
+use std::collections::HashSet;
 
 /// Vector clocks for every DAG node.
 #[derive(Debug)]
@@ -35,9 +38,20 @@ impl Clocks {
     /// Computes clocks with a Kahn topological traversal.
     ///
     /// # Panics
-    /// Panics if the DAG contains a cycle (which would mean the matching
-    /// produced an inconsistent ordering — a malformed trace).
+    /// Panics with the [`TraceError`] text if the DAG has a cycle. Every
+    /// analysis of a trace from outside the process uses
+    /// [`Clocks::try_compute`].
     pub fn compute(dag: &Dag) -> Clocks {
+        Self::try_compute(dag)
+            .unwrap_or_else(|cycles| panic!("{}", TraceError::cycle(cycles[0].clone(), "")))
+    }
+
+    /// Computes clocks, or returns the happens-before cycles — matched
+    /// synchronization that waits on itself, which a run would deadlock
+    /// on — one per strongly connected component, never none. Each lists
+    /// its events in edge order, starting at the receiving end of a
+    /// cross-rank edge.
+    pub fn try_compute(dag: &Dag) -> Result<Clocks, Vec<Vec<EventRef>>> {
         let nodes = dag.node_count();
         let n = dag.nprocs;
         let mut indeg = vec![0u32; nodes];
@@ -72,13 +86,15 @@ impl Clocks {
                 }
             }
         }
-        assert_eq!(seen, nodes, "cycle in happens-before DAG: malformed trace");
-        Clocks {
+        if seen < nodes {
+            return Err(cycles(dag, &indeg));
+        }
+        Ok(Clocks {
             n,
             vcs,
             ranks: dag.node_rank.iter().map(|r| r.0).collect(),
             kinds: dag.node_kind.clone(),
-        }
+        })
     }
 
     /// The clock of a node.
@@ -131,6 +147,83 @@ impl Clocks {
     pub fn concurrent(&self, a: NodeId, b: NodeId) -> bool {
         a != b && !self.ordered(a, b) && !self.ordered(b, a)
     }
+}
+
+/// The cycles among the nodes a Kahn sweep left unvisited (`indeg > 0`):
+/// one per strongly connected component with an edge inside it, found by
+/// Tarjan's algorithm without recursion, in the order of each
+/// component's lowest node. Linear in the graph.
+fn cycles(dag: &Dag, indeg: &[u32]) -> Vec<Vec<EventRef>> {
+    let n = dag.node_count();
+    let (mut index, mut low, mut comp) = (vec![u32::MAX; n], vec![0; n], vec![None; n]);
+    let (mut stack, mut pred, mut found, mut next) = (Vec::new(), vec![None; n], Vec::new(), 0);
+    // The depth-first path: each node with the position of its next
+    // successor. A node indexed but not yet in a component is on `stack`.
+    let mut call: Vec<(usize, usize)> = Vec::new();
+    for root in (0..n).filter(|&u| indeg[u] > 0) {
+        if index[root] == u32::MAX {
+            call.push((root, 0));
+        }
+        while let Some((u, i)) = call.pop() {
+            if i == 0 {
+                (index[u], low[u], next) = (next, next, next + 1);
+                stack.push(u);
+            }
+            if let Some(&s) = dag.succ[u].get(i) {
+                let s = s as usize;
+                call.push((u, i + 1));
+                if indeg[s] > 0 && index[s] == u32::MAX {
+                    call.push((s, 0));
+                } else if indeg[s] > 0 && comp[s].is_none() {
+                    low[u] = low[u].min(index[s]);
+                }
+                continue;
+            }
+            if let Some(&(p, _)) = call.last() {
+                low[p] = low[p].min(low[u]);
+            }
+            if low[u] < index[u] {
+                continue;
+            }
+            // `u` roots a component: the stack from `u` up.
+            let at = stack.iter().rposition(|&w| w == u).expect("a root is on the stack");
+            let members = stack.split_off(at);
+            members.iter().for_each(|&w| comp[w] = Some(u));
+            for (&w, &s) in members.iter().flat_map(|w| dag.succ[*w].iter().map(move |s| (w, s))) {
+                if comp[s as usize] == Some(u) {
+                    pred[s as usize] = Some(w as NodeId);
+                }
+            }
+            if pred[u].is_some() {
+                found.push((members.iter().min().copied(), cycle(dag, &pred, u as NodeId)));
+            }
+        }
+    }
+    found.sort_by_key(|(lowest, _)| *lowest);
+    found.into_iter().map(|(_, c)| c).collect()
+}
+
+/// The cycle through `at`'s component: inside a component every node
+/// has a predecessor in it, so walking `pred` from `at` must come back
+/// to a node it passed.
+fn cycle(dag: &Dag, pred: &[Option<NodeId>], mut at: NodeId) -> Vec<EventRef> {
+    let mut order: Vec<NodeId> = Vec::new();
+    let mut on_walk = HashSet::new();
+    while on_walk.insert(at) {
+        order.push(at);
+        at = pred[at as usize].expect("a component member has a predecessor in it");
+    }
+    let mut nodes = order.split_off(order.iter().position(|&u| u == at).unwrap_or(0));
+    nodes.reverse();
+    // Start where a cross-rank edge arrives; intra-rank edges run forward
+    // in program order, so a cycle has one.
+    let rank = |u: NodeId| dag.node_rank[u as usize];
+    let k = nodes.len();
+    let start = (0..k).find(|&i| rank(nodes[(i + k - 1) % k]) != rank(nodes[i])).unwrap_or(0);
+    nodes.rotate_left(start);
+    let mut events: Vec<EventRef> = nodes.iter().map(|&u| dag.node_event[u as usize]).collect();
+    events.dedup(); // a collective's enter and exit are one event
+    events
 }
 
 /// A per-shard memo over [`Clocks`] queries.

@@ -123,13 +123,19 @@ impl ExploreReport {
     /// Human-readable rendering.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        // The count saturates at 64 choice points; the JSON keeps the
+        // saturated number, the text says what it means.
+        let naive = match self.naive_schedules {
+            u64::MAX => "≥ 2^64".to_string(),
+            n => n.to_string(),
+        };
         let _ = writeln!(
             out,
             "schedule exploration over {} rank(s): {} schedule(s) explored \
              (naive enumeration: {} over {} choice point(s)), {} pruned, {} deduplicated",
             self.nprocs,
             self.schedules_explored,
-            self.naive_schedules,
+            naive,
             self.choice_points,
             self.pruned,
             self.deduped,
@@ -235,6 +241,16 @@ mod tests {
         let text = r.render();
         assert!(text.contains("no consistency error in any schedule"), "{text}");
         assert!(text.contains("3 pruned"), "{text}");
+    }
+
+    #[test]
+    fn saturated_naive_count_renders_as_a_bound() {
+        let mut r = empty_report();
+        assert!(r.render().contains("(naive enumeration: 8 over 3 choice point(s))"));
+        (r.choice_points, r.naive_schedules) = (70, u64::MAX);
+        let text = r.render();
+        assert!(text.contains("(naive enumeration: ≥ 2^64 over 70 choice point(s))"), "{text}");
+        assert!(r.to_json().contains(&format!("\"naive_schedules\": {}", u64::MAX)));
     }
 
     #[test]

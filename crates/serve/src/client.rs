@@ -34,6 +34,7 @@ use crate::proto::{
 };
 use crate::report::SessionReport;
 use mcc_codec::CodecKind;
+use mcc_core::preprocess::HEADLINES;
 use mcc_types::{EventKind, SourceLoc, Trace};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt;
@@ -394,6 +395,21 @@ enum Attempt {
     Fatal(ClientError),
 }
 
+/// The attempt a server `Error` frame ends. A trace the resolver refuses
+/// ([`mcc_core::preprocess::HEADLINES`]) is refused again on every
+/// resend, so it is final; anything else (a corrupt frame, a gap, a
+/// refused handshake that may be a corrupted echo) can clear on retry.
+fn on_error_frame(message: String) -> Attempt {
+    let refusal =
+        HEADLINES.iter().any(|h| message.strip_prefix(h).is_some_and(|m| m.starts_with(':')));
+    let e = ClientError::Rejected(message);
+    if refusal {
+        Attempt::Fatal(e)
+    } else {
+        Attempt::Retry(e)
+    }
+}
+
 /// Streams `trace` to a TCP daemon as a durable session, riding out
 /// connection drops, resets, and corrupt transports by resuming with
 /// exponential backoff + jitter under `policy`'s retry budget. Returns
@@ -617,8 +633,10 @@ fn one_attempt<S: Read + Write>(
             drain_acks(r, acked)
         })
     };
-    if let Err(e) = sent {
-        return Attempt::Retry(e);
+    match sent {
+        Ok(()) => {}
+        Err(ClientError::Rejected(message)) => return on_error_frame(message),
+        Err(e) => return Attempt::Retry(e),
     }
     if let Err(e) = write_frame_with(reader.get_mut(), &Frame::Finish, CONTROL) {
         return Attempt::Retry(e.into());
@@ -630,11 +648,9 @@ fn one_attempt<S: Read + Write>(
             Ok(r) => Attempt::Done(r),
             Err(m) => Attempt::Fatal(ClientError::BadReport(m)),
         },
-        Ok(Frame::Error { message }) => {
-            // The server closed the session on us (corrupt frame, gap);
-            // it parked or retired it, so a resume can still succeed.
-            Attempt::Retry(ClientError::Rejected(message))
-        }
+        // The server closed the session on us. After a corrupt frame or
+        // a gap it parked or retired it, so a resume can still succeed.
+        Ok(Frame::Error { message }) => on_error_frame(message),
         Ok(other) => Attempt::Fatal(ClientError::UnexpectedFrame(format!("{other:?}"))),
         Err(e @ (ClientError::Rejected(_) | ClientError::BadReport(_))) => Attempt::Fatal(e),
         Err(e) => Attempt::Retry(e),

@@ -55,7 +55,7 @@ use crate::report::{SessionReport, REPORT_SCHEMA_VERSION};
 use mcc_codec::CodecKind;
 use mcc_core::report::Confidence;
 use mcc_core::session::AnalysisSession;
-use mcc_core::streaming::StreamingChecker;
+use mcc_core::streaming::{StreamError, StreamingChecker};
 use mcc_obs::{log, logkv, names, render_gauge, FlightRecorder, RecorderHandle};
 use mcc_types::Rank;
 use serde::Value;
@@ -638,7 +638,14 @@ fn recover_dir(registry: &Arc<Registry>, dir: &std::path::Path, cfg: &ServeConfi
         if rs.finished {
             // The client finished before the crash; rebuild and retire
             // the report so a Resume redelivers it idempotently.
-            let report = conclude(checker, expected_seq, false);
+            let report = match conclude(checker, expected_seq, false) {
+                Ok(report) => report,
+                Err(e) => {
+                    log!(Warn, "journal recovery: session {} refused: {e}", rs.session);
+                    let _ = std::fs::remove_file(&rs.path);
+                    continue;
+                }
+            };
             let nfindings = report.findings.len() as u64;
             registry.adopt_retired(rs.session, report.to_json(), expected_seq, nfindings);
             let _ = std::fs::remove_file(&rs.path);
@@ -723,19 +730,23 @@ fn query_reply(verb: &Frame, registry: &Registry, cfg: &ServeConfig) -> Frame {
     }
 }
 
-/// Finishes a session's checker into its report — normally, or in
-/// degraded mode for a salvage. The only place a report is built, so a
-/// completed, a recovered and a salvaged session cannot disagree on
-/// what one contains.
-fn conclude(c: StreamingChecker, events_ingested: u64, degraded: bool) -> SessionReport {
+/// Finishes a session's checker into its report — strictly, or in
+/// degraded mode for a salvage (which cannot fail). The only place a
+/// report is built, so a completed, a recovered and a salvaged session
+/// cannot disagree on what one contains.
+fn conclude(
+    c: StreamingChecker,
+    events_ingested: u64,
+    degraded: bool,
+) -> Result<SessionReport, StreamError> {
     let (regions_flushed, peak_buffered, evictions) =
         (c.regions_flushed, c.peak_buffered, c.evictions);
     let (confidence, findings) = if degraded {
         (Confidence::Degraded, c.finish_degraded())
     } else {
-        (c.confidence(), c.finish())
+        (c.confidence(), c.try_finish()?)
     };
-    SessionReport {
+    Ok(SessionReport {
         schema_version: REPORT_SCHEMA_VERSION,
         confidence,
         findings,
@@ -743,7 +754,7 @@ fn conclude(c: StreamingChecker, events_ingested: u64, degraded: bool) -> Sessio
         regions_flushed,
         peak_buffered,
         evictions,
-    }
+    })
 }
 
 /// Everything one running session's loop needs.
@@ -1269,9 +1280,14 @@ fn ingest(
         ctx.flight.record("frame", format!("batch of {} at seq {}", batch.len(), batch.first_seq));
     }
     if let Some(e) = refused {
-        // A client feeding invalid events has no coherent stream left.
+        // A client feeding invalid events — a rank outside the session,
+        // or a region that does not resolve — has no coherent stream
+        // left.
         ctx.flight.record("push_error", e.to_string());
         refuse(conn, e.to_string());
+        // The invalid region has left the checker, so a resume could
+        // only continue past it: even a durable session ends here.
+        ctx.durable &= !matches!(e, StreamError::Trace(_));
         return Next::Abandon;
     }
 
@@ -1326,7 +1342,20 @@ fn complete(
     // Short sessions never reach the progress cadence; charge what the
     // stream ended with before it is released.
     ctx.guard.report_progress(Progress::live(&ctx.checker, ctx.events, ctx.journal_bytes()));
-    let report = conclude(ctx.checker, ctx.events, false);
+    let report = match conclude(ctx.checker, ctx.events, false) {
+        Ok(report) => report,
+        Err(e) => {
+            // The final region does not resolve: refuse it as `ingest`
+            // refuses an invalid region mid-stream. Dropping the guard
+            // settles the session as salvaged.
+            ctx.flight.record("push_error", e.to_string());
+            refuse(conn, e.to_string());
+            if let Some(j) = ctx.journal.take() {
+                let _ = j.retire();
+            }
+            return;
+        }
+    };
     if let Some(j) = ctx.journal.as_mut() {
         // Mark completion in the journal before the report is retired
         // and handed over.
@@ -1508,7 +1537,7 @@ fn salvage(
     if let Some(j) = ctx.journal.take() {
         let _ = j.retire();
     }
-    let report = conclude(ctx.checker, ctx.events, true);
+    let Ok(report) = conclude(ctx.checker, ctx.events, true) else { return };
     // The client is usually gone, and a failed write changes nothing.
     deliver(ctx.guard, ctx.durable, &report, Outcome::Salvaged, registry, conn);
 }

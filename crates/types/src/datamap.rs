@@ -121,6 +121,12 @@ impl DataMap {
         self.segments.is_empty()
     }
 
+    /// Whether the map is one segment from its origin to its extent, so
+    /// that its tiles touch and any tiling of it is one segment too.
+    pub fn is_dense(&self) -> bool {
+        matches!(self.segments[..], [s] if s.disp == 0 && s.len == self.extent)
+    }
+
     /// The map obtained by repeating this type `count` times at extent
     /// stride — the layout of an MPI call with a `count` argument.
     pub fn tiled(&self, count: u64) -> DataMap {
@@ -129,6 +135,9 @@ impl DataMap {
         }
         if count == 1 {
             return self.clone();
+        }
+        if self.is_dense() {
+            return DataMap::contiguous(self.extent * count);
         }
         let mut segs = Vec::with_capacity(self.segments.len() * count as usize);
         for i in 0..count {

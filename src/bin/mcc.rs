@@ -173,8 +173,15 @@ fn cmd_check(args: &Args) -> Outcome {
         )
     })?;
 
+    let invalid = |e: String| {
+        format!(
+            "cannot check `{dir}`: {e}\n\
+             mcc: (--tolerate-truncation drops invalid events and checks the rest)"
+        )
+    };
     if streaming {
-        let (findings, stats) = StreamingChecker::run_over(&trace);
+        let (findings, stats) =
+            StreamingChecker::run_over(&trace).map_err(|e| invalid(e.to_string()))?;
         eprintln!(
             "streaming: {} events, {} regions flushed, peak buffer {} events",
             stats.total_events, stats.regions_flushed, stats.peak_buffered
@@ -183,7 +190,8 @@ fn cmd_check(args: &Args) -> Outcome {
         return sink.finish(mc_checker::exit_code_for(stats.confidence, has_errors).into());
     }
 
-    let report = check.session.run(&trace);
+    let report =
+        check.session.try_run(&trace).map_err(|e| invalid(format!("{}: {e}", e.headline())))?;
     eprintln!(
         "analyzed {} events: {} DAG nodes, {} regions, {} epochs ({} unmatched sync)",
         report.stats.total_events,

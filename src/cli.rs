@@ -89,13 +89,18 @@ pub static COMMANDS: &[Command] = &[
     Command {
         name: "check",
         operands: &["<trace-dir>"],
-        about: "Analyze a trace directory written by the Profiler and print the findings.",
+        about: "Analyze a trace directory written by the Profiler and print the findings. An\n\
+                event that names an unknown handle or an out-of-range rank, count or address\n\
+                is an invalid trace (exit 2).",
         flags: &[
             FORMAT,
             switch("--timings", "add the per-phase `timings` object to the JSON report"),
             PROFILE,
             switch("--streaming", "check online, region by region, in bounded memory"),
-            switch("--tolerate-truncation", "accept torn lines and missing ranks; degraded check"),
+            switch(
+                "--tolerate-truncation",
+                "accept torn lines, missing ranks and invalid events; degraded check",
+            ),
         ],
     },
     Command {

@@ -63,7 +63,7 @@
 /// [`exit_code_for`]; `tests/cli.rs` drives the binary through every code.
 pub const EXIT_CODE_TABLE: &str = "  0  complete analysis, no errors
   1  complete analysis, errors found
-  2  usage or I/O error
+  2  usage, I/O or invalid-trace error
   3  degraded analysis, errors found
   4  degraded analysis, no errors
   5  recovered analysis (rank failure modeled), errors found

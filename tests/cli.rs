@@ -115,6 +115,36 @@ fn exit_code_contract_end_to_end() {
     assert_eq!((code(&help), stdout(&help)), (0, cli::help(cli::command("check").unwrap())));
 }
 
+/// A trace whose event names a rank outside its window is an invalid
+/// trace: strict and streaming checks exit 2 naming the rank, the event
+/// and the value, and point at the tolerant mode, which drops the event
+/// and reports degraded.
+#[test]
+fn an_invalid_trace_exits_2_naming_the_event() {
+    let dir = scratch("cli-invalid");
+    let (trace, _) = record(&dir, "bad-target", &["ping-pong"]);
+    let log = std::path::Path::new(&trace).join("rank-0.jsonl");
+    let text = std::fs::read_to_string(&log).unwrap();
+    let put = text.lines().position(|l| l.contains("\"Put\"")).expect("a Put to edit");
+    let edited: Vec<String> = text
+        .lines()
+        .enumerate()
+        .map(|(i, l)| if i == put { l.replace("\"target\":1", "\"target\":9") } else { l.into() })
+        .collect();
+    std::fs::write(&log, edited.join("\n") + "\n").unwrap();
+    for mode in [&[][..], &["--streaming"]] {
+        let out = mcc(&[&["check", &trace][..], mode].concat());
+        let err = stderr(&out);
+        assert_eq!(code(&out), 2, "{mode:?}: {err}");
+        assert!(err.contains(": MPI_Put target P9 out of range for win0"), "{mode:?}: {err}");
+        assert!(
+            err.contains("invalid trace: P0#") && err.contains("--tolerate-truncation"),
+            "{err}"
+        );
+    }
+    assert_eq!(code(&mcc(&["check", &trace, "--tolerate-truncation"])), 3);
+}
+
 /// Every way an argv can be ill-formed exits 2 and names the offender on
 /// stderr. The first block is the list of invocations the hand-rolled
 /// look-ups used to accept silently, running with a default nobody chose.

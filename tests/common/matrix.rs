@@ -164,8 +164,8 @@ pub fn check_naive_degraded(cell: &Cell) {
     let (damaged, health) = read_trace_dir_tolerant(&dir).unwrap();
     assert!(!health.is_complete(), "{name}");
     let degraded = |engine: Engine| {
-        let session = AnalysisSession::builder().engine(engine).tolerate_truncation(true);
-        let mut report = session.build().run(&damaged);
+        let session = AnalysisSession::builder().engine(engine).build();
+        let mut report = session.run_with_repair(&damaged).0;
         report.mark_degraded();
         report.to_json()
     };
@@ -177,7 +177,7 @@ pub fn check_naive_degraded(cell: &Cell) {
 /// Recovered rows. Returns the streamed findings.
 pub fn check_streaming(cell: &Cell) -> Vec<ConsistencyError> {
     let (name, batch) = (cell.name(), cell.report(Engine::Sweep));
-    let (streamed, stats) = StreamingChecker::run_over(&cell.trace);
+    let (streamed, stats) = StreamingChecker::run_over(&cell.trace).unwrap();
     assert_eq!(
         serde_json::to_string(&streamed).unwrap(),
         serde_json::to_string(&batch.diagnostics).unwrap(),

@@ -224,7 +224,7 @@ fn streaming_checker_handles_mpi3_traces() {
     .unwrap();
     let trace = result.trace.unwrap();
     let batch = AnalysisSession::new().run(&trace);
-    let (streamed, _) = StreamingChecker::run_over(&trace);
+    let (streamed, _) = StreamingChecker::run_over(&trace).unwrap();
     assert_eq!(streamed.len(), batch.diagnostics.len());
     assert!(!streamed.is_empty());
 }

@@ -137,7 +137,7 @@ fn exit_code_table_does_not_drift() {
             .unwrap_or_else(|| panic!("table has no row for exit code {code}"));
         assert!(row.contains(desc), "table row for {code} does not describe `{desc}`: {row}");
     }
-    // Code 2 (usage/IO) never comes out of exit_code_for; it must still
-    // be documented.
-    assert!(mc_checker::EXIT_CODE_TABLE.contains("2  usage or I/O error"));
+    // Code 2 (usage, I/O, invalid trace) never comes out of
+    // exit_code_for; it must still be documented.
+    assert!(mc_checker::EXIT_CODE_TABLE.contains("2  usage, I/O or invalid-trace error"));
 }

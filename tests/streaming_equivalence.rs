@@ -43,7 +43,7 @@ fn streaming_buffer_bounded_on_iterative_app() {
     // Jacobi runs many fence-bounded iterations; the streaming buffer
     // must stay well below the trace size.
     let trace = trace_of(4, 5, bugs::jacobi::fixed);
-    let (_, stats) = StreamingChecker::run_over(&trace);
+    let (_, stats) = StreamingChecker::run_over(&trace).unwrap();
     assert!(stats.regions_flushed > 2);
     assert!(
         stats.peak_buffered < stats.total_events,

@@ -63,7 +63,7 @@ fn tie_between_intra_and_cross_findings_matches_batch_order() {
         .filter(|e| matches!(e.scope, mc_checker::core::ErrorScope::IntraEpoch { .. }))
         .count();
     assert!(intra >= 1 && intra < batch.len(), "workload must exercise both scope classes");
-    let (streamed, _) = StreamingChecker::run_over(&trace);
+    let (streamed, _) = StreamingChecker::run_over(&trace).unwrap();
     assert_eq!(streamed, batch);
 }
 
@@ -71,7 +71,7 @@ fn tie_between_intra_and_cross_findings_matches_batch_order() {
 fn streaming_findings_all_carry_complete_confidence() {
     use mc_checker::core::Confidence;
     for cell in cells().iter().filter(|c| c.is_archetype()) {
-        let (streamed, _) = StreamingChecker::run_over(&cell.trace);
+        let (streamed, _) = StreamingChecker::run_over(&cell.trace).unwrap();
         for f in &streamed {
             assert_eq!(f.confidence, Confidence::Complete, "{}", cell.name());
         }
